@@ -4,13 +4,13 @@ truncation.
 
 Layers:
 
-- torus: grids, band-limited fields, dealiased products, Littlewood-Paley
-  blocks.
+- torus: grids, band-limited fields, the spectral plan (alias-free padded
+  transforms), dealiased products, Littlewood-Paley blocks.
 - gaussian: free-field and white-noise sampling, Wick renormalization
   constants and Wick powers.
 - besov: weighted Besov/Sobolev norms and randomized inequality audits.
-- phi4: the quartic Gibbs measure, exact samplers (HMC, MALA, rejection),
-  and the Langevin diagnostics.
+- phi4: the quartic Gibbs measure and its exact samplers (HMC, MALA,
+  rejection).
 - nlw / nls: truncated Wick-ordered cubic wave and Schrodinger flows.
 - harness: measure-invariance experiments, volume stabilization, blow-up
   bookkeeping.

@@ -682,7 +682,7 @@ def build_parser():
         if name == "sample-phi4":
             _flag(sub, ["--n"], "n", type=int)
             _flag(sub, ["--sampler"], "sampler.kind",
-                  choices=["hmc", "mala", "exp_euler", "rejection_oracle"])
+                  choices=["hmc", "mala", "rejection_oracle"])
         if name in ("sample-gff", "besov-norm"):
             _flag(sub, ["--n"], "n", type=int)
         if name == "besov-norm":

@@ -19,15 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
-from .torus import (
-    FourierField,
-    TorusGrid,
-    chi_plateau,
-    hermitian_symmetrize,
-    _pad_indices,
-)
+from .torus import FourierField, chi_plateau, spectral_plan
 
 
 @dataclass(frozen=True)
@@ -100,11 +93,6 @@ def sample_white_noise_coeffs(grid, rng: RngStream, size=None):
     return np.where(grid.ball_mask(), g / grid.L, 0.0)
 
 
-def sample_white_noise(grid, rng: RngStream):
-    """Band-limited white noise: E[<xi,psi><xi,phi>] = <psi,phi>."""
-    return FourierField(grid, sample_white_noise_coeffs(grid, rng), real=True)
-
-
 def sample_complex_gff_coeffs(grid, m, rng: RngStream, size=None):
     """Complex GFF: all modes independent, E|c(n)|^2 = 1/(L^2 (m^2+|n|^2))."""
     if m <= 0:
@@ -115,10 +103,6 @@ def sample_complex_gff_coeffs(grid, m, rng: RngStream, size=None):
     g = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
     omega = np.sqrt(m**2 + grid.mode_nsq())
     return np.where(grid.ball_mask(), g / (grid.L * omega), 0.0)
-
-
-def sample_complex_gff(grid, m, rng: RngStream):
-    return FourierField(grid, sample_complex_gff_coeffs(grid, m, rng), real=False)
 
 
 # ---------------------------------------------------------------------------
@@ -205,39 +189,13 @@ def _hermite_wick(u, j, a):
     raise ValueError("Wick power j must be in {2, 3, 4}")
 
 
-def _padded_physical(grid, coeffs, P):
-    ix = _pad_indices(grid.kmax, P)
-    big = np.zeros(coeffs.shape[:-2] + (P, P), dtype=np.complex128)
-    big[..., ix[0], ix[1]] = coeffs
-    return sfft.ifft2(big) * P**2
-
-
-def _padded_spectrum(grid, samples, P, out_radius, real):
-    spec = sfft.fft2(samples) / P**2
-    ix = _pad_indices(grid.kmax, P)
-    out = spec[..., ix[0], ix[1]]
-    out = np.where(grid.ball_mask(out_radius), out, 0.0)
-    if real:
-        out = hermitian_symmetrize(out)
-    return out
-
-
-def _pad_size(grid, j):
-    P = 2 * j * grid.kmax + 2
-    return int(sfft.next_fast_len(max(P, 4)))
-
-
 def wick_power_coeffs(grid, coeffs, j, a, output_radius=None, real=True):
     """Batched Wick power; pointwise Hermite evaluation on an alias-free grid."""
     if j not in (2, 3, 4):
         raise ValueError("Wick power j must be in {2, 3, 4}")
-    r = grid.K if output_radius is None else output_radius
-    P = _pad_size(grid, j)
-    z = _padded_physical(grid, coeffs, P)
-    if real:
-        z = z.real
-    w = _hermite_wick(z, j, a)
-    return _padded_spectrum(grid, w, P, r, real)
+    plan = spectral_plan(grid, real, j)
+    w = _hermite_wick(plan.to_grid(coeffs), j, a)
+    return plan.from_grid(w, radius=output_radius)
 
 
 def wick_power(Z: FourierField, j, a, output_radius=None):
@@ -256,17 +214,14 @@ def wick_power_shifted(Z: FourierField, phi: FourierField, j, a,
     if j not in (2, 3, 4):
         raise ValueError("Wick power j must be in {2, 3, 4}")
     grid = Z.grid
-    r = grid.K if output_radius is None else output_radius
     real = Z.real and phi.real
-    P = _pad_size(grid, j)
-    z = _padded_physical(grid, Z.coeffs, P)
-    f = _padded_physical(grid, phi.coeffs, P)
-    if real:
-        z, f = z.real, f.real
+    plan = spectral_plan(grid, real, j)
+    z = plan.to_grid(Z.coeffs)
+    f = plan.to_grid(phi.coeffs)
     total = np.zeros_like(z)
     for i in range(j + 1):
         total = total + math.comb(j, i) * _hermite_wick(z, i, a) * f ** (j - i)
-    c = _padded_spectrum(grid, total, P, r, real)
+    c = plan.from_grid(total, radius=output_radius)
     return FourierField(grid, c, real)
 
 
@@ -303,13 +258,3 @@ def pairing(f_coeffs, g_coeffs, L):
     return L**2 * np.sum(f_coeffs * g_coeffs[..., ::-1, ::-1],
                          axis=(-2, -1))
 
-
-def constants_table(L_values, K_values, m):
-    """Rows (L, K, m, a_lattice, a_continuum, difference) for CSV output."""
-    rows = []
-    for L in L_values:
-        for K in K_values:
-            al = wick_constant_lattice(L, K, m)
-            ac = wick_constant_continuum(K, m)
-            rows.append((L, K, m, al, ac, al - ac))
-    return rows

@@ -28,16 +28,10 @@ from .gaussian import (
     sample_gff_coeffs,
     sample_white_noise_coeffs,
 )
-from .phi4 import (
-    COMPLEX_FIELD,
-    REAL_FIELD,
-    MeasureSpec,
-    _layout,
-    _padded_physical,
-    run_chain,
-)
+from .io import NumericalGateError
+from .phi4 import COMPLEX_FIELD, REAL_FIELD, MeasureSpec, run_chain
 from .stats import energy_distance, ks_two_sample, ks_uniformity, mann_kendall
-from .torus import TorusGrid, chi_plateau, from_physical_array
+from .torus import TorusGrid, chi_plateau, from_physical_array, spectral_plan
 
 
 FLOWS = ("nlw", "nls", "linear")
@@ -94,11 +88,10 @@ def _wick_moment(ctx, u, degree):
     """int :u^degree: dx with the measure's own constant (real fields) or
     the modulus-based normal ordering (complex fields)."""
     grid, a = ctx.grid, ctx.wick_a
-    lay = _layout(grid, ctx.field_type)
-    z = _padded_physical(lay, u)
-    cell = (grid.L / lay.P) ** 2
+    plan = spectral_plan(grid, ctx.field_type == REAL_FIELD)
+    z = plan.to_grid(u)
+    cell = (grid.L / plan.P) ** 2
     if ctx.field_type == REAL_FIELD:
-        z = np.ascontiguousarray(z.real)
         z2 = z * z
         if degree == 2:
             dens = z2 - a
@@ -237,7 +230,7 @@ def sample_initial_ensemble(spec: MeasureSpec, n, rng: RngStream, dt=None,
                             batch=batch, **opts)
     ess = manifest.get("ess", float(n))
     if ess < required_ess_fraction * n:
-        raise RuntimeError(
+        raise NumericalGateError(
             "effective sample size %.1f below %.1f: run longer chains "
             "(raise thinning or burn-in)" % (ess, required_ess_fraction * n))
     if spec.field_type == COMPLEX_FIELD:
@@ -268,7 +261,7 @@ def _evolve_wave(grid, u, ut, cfg, T, chunk=256, drift_gate=1e-3):
         h1 = nlw_mod.hamiltonian(st, cfg)
         drift = float(np.max(np.abs(h1 - h0) / np.maximum(np.abs(h0), 1e-12)))
         if drift > drift_gate:
-            raise RuntimeError(
+            raise NumericalGateError(
                 "integrator instability: relative energy drift %.3e exceeds "
                 "gate %.1e; reduce dt" % (drift, drift_gate))
         out_u[lo:hi] = st.u
@@ -287,7 +280,7 @@ def _evolve_nls(grid, u, cfg, T, chunk=256, mass_gate=1e-6):
         drift = float(np.max(np.abs(nls_mod.mass(st) - m0)
                              / np.maximum(m0, 1e-12)))
         if drift > mass_gate:
-            raise RuntimeError(
+            raise NumericalGateError(
                 "integrator instability: relative mass drift %.3e exceeds "
                 "gate %.1e; reduce dt" % (drift, mass_gate))
         out[lo:hi] = st.u
@@ -512,7 +505,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
     times = np.linspace(0.0, 1.0, n_times)
     params = BesovParams(-eps, np.inf, np.inf)
     w_spec = WeightSpec(weight_alpha, POLY)
-    ctx = FlowContext(grid, m, 0.0, a, "nlw")
+    plan = spectral_plan(grid)
     xs = []
     for lo in range(0, n, chunk):
         cnt = min(chunk, n - lo)
@@ -521,8 +514,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
         st = nlw_mod.WaveState(grid, u, ut)
         for ti, t in enumerate(times):
             wt = nlw_mod.linear_propagate(st, m, float(t))
-            lay = _layout(grid, REAL_FIELD)
-            z = _padded_physical(lay, wt.u).real
+            z = plan.to_grid(wt.u)
             for j in (1, 2, 3):
                 if j == 1:
                     dens = z
@@ -530,9 +522,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
                     dens = z * z - a
                 else:
                     dens = z * (z * z - 3.0 * a)
-                from .phi4 import _band_coeffs
-                from .torus import hermitian_symmetrize
-                cj = hermitian_symmetrize(_band_coeffs(lay, dens))
+                cj = plan.from_grid(dens)
                 norms[j - 1, ti] = besov_norm_array(grid, cj, params, w_spec)
         # L^4 in time by the trapezoid rule over [0, 1]
         wts = np.gradient(times)

@@ -25,8 +25,7 @@ import numpy as np
 
 from .besov import BesovParams, WeightSpec, besov_norm_array
 from .gaussian import wick_constant_continuum
-from .phi4 import _layout, _padded_physical, _band_coeffs, COMPLEX_FIELD
-from .torus import FourierField, GridMismatchError, TorusGrid
+from .torus import FourierField, GridMismatchError, TorusGrid, spectral_plan
 
 
 COMPLEX_WICK = "complex_wick"
@@ -100,20 +99,19 @@ def _phase_kick(grid, coeffs, lam, tau, a, c_mult):
     """Exact flow of the nonlinear substep: pointwise phase rotation
     u <- u exp(-i lam tau (|u|^2 - c a)), evaluated alias-free and then
     re-truncated to the active band."""
-    lay = _layout(grid, COMPLEX_FIELD)
-    z = _padded_physical(lay, coeffs)
+    plan = spectral_plan(grid, real=False)
+    z = plan.to_grid(coeffs)
     zsq = z.real * z.real + z.imag * z.imag
-    z = z * np.exp(-1j * lam * tau * (zsq - c_mult * a))
-    return _band_coeffs(lay, z)
+    return plan.from_grid(z * np.exp(-1j * lam * tau * (zsq - c_mult * a)))
 
 
 def _projected_cubic(grid, coeffs, a, c_mult):
     """P_K[(|u|^2 - c a) u], alias-free; the gradient of the truncated
     quartic Hamiltonian."""
-    lay = _layout(grid, COMPLEX_FIELD)
-    z = _padded_physical(lay, coeffs)
+    plan = spectral_plan(grid, real=False)
+    z = plan.to_grid(coeffs)
     zsq = z.real * z.real + z.imag * z.imag
-    return _band_coeffs(lay, (zsq - c_mult * a) * z)
+    return plan.from_grid((zsq - c_mult * a) * z)
 
 
 def _midpoint_kick(grid, coeffs, lam, tau, a, c_mult, tol=1e-13,

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import wick_constant_continuum
-from .phi4 import _layout, _padded_physical, _band_coeffs, REAL_FIELD
 from .torus import (
     FourierField,
     GridMismatchError,
     TorusGrid,
     chi_plateau,
     from_physical_array,
-    hermitian_symmetrize,
+    spectral_plan,
     to_physical_array,
 )
 
@@ -101,9 +100,9 @@ def linear_propagate(state: WaveState, m, t):
 
 def wick_cubic_coeffs(grid, u_coeffs, a):
     """P_K :(P_K u)^3: — alias-free cubic minus the linear counterterm."""
-    lay = _layout(grid, REAL_FIELD)
-    z = np.ascontiguousarray(_padded_physical(lay, u_coeffs).real)
-    return hermitian_symmetrize(_band_coeffs(lay, z * (z * z - 3.0 * a)))
+    plan = spectral_plan(grid)
+    z = plan.to_grid(u_coeffs)
+    return plan.from_grid(z * (z * z - 3.0 * a))
 
 
 def strang_step(state: WaveState, cfg: NlwConfig, dt=None):
@@ -153,10 +152,10 @@ def hamiltonian(state: WaveState, cfg: NlwConfig):
     if cfg.lam == 0.0:
         return quad
     a = cfg.a(grid)
-    lay = _layout(grid, REAL_FIELD)
-    z2 = np.ascontiguousarray(_padded_physical(lay, state.u).real)
+    plan = spectral_plan(grid)
+    z2 = plan.to_grid(state.u)
     z2 *= z2
-    cell = (grid.L / lay.P) ** 2
+    cell = (grid.L / plan.P) ** 2
     quart = np.sum(z2 * (z2 - 6.0 * a) + 3.0 * a * a, axis=(-2, -1)) * cell
     return quad + 0.25 * cfg.lam * quart
 

@@ -10,11 +10,10 @@ for real fields (Hermitian coefficients), and for complex fields
     S(u) = L^2 sum_n (m^2+|n|^2) |c(n)|^2
            + q * int (|u|^4 - 4 a |u|^2 + 2 a^2) dx.
 
-Samplers: Metropolis-adjusted Langevin on the packed real degrees of
-freedom (exact accept/reject, so the chain targets exp(-S) without
-discretization bias), a brute-force rejection oracle for tiny mode sets,
-and an exponential-Euler Langevin scheme built on the rough/smooth split
-u = Z + phi with an exactly-stationary OU update for Z.
+Samplers: Hamiltonian Monte Carlo and Metropolis-adjusted Langevin on the
+packed real degrees of freedom (exact accept/reject, so the chains target
+exp(-S) without discretization bias), and a brute-force rejection oracle
+for tiny mode sets.
 
 MALA may use a diagonal, position-independent preconditioner (per-mode
 step scaling 1/(L^2 omega^2)); the Metropolis correction uses the matching
@@ -23,24 +22,21 @@ Gaussian proposal density, so detailed balance is exact either way.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
-from .besov import FLAT, WeightSpec
 from .gaussian import (
     RngStream,
     _canonical_half_mask,
-    _hermitian_gaussian_coeffs,
     sample_complex_gff_coeffs,
     sample_gff_coeffs,
     wick_constant_continuum,
 )
-from .torus import FourierField, TorusGrid, _pad_indices, hermitian_symmetrize
+from .torus import FourierField, TorusGrid, spectral_plan
 
 
 REAL_FIELD = "real"
@@ -105,42 +101,78 @@ class MeasureSpec:
 # Degree-of-freedom packing (Hermitian half-lattice for real fields, all
 # active modes for complex ones) and cached grid tables.
 
-_layout_cache: dict = {}
-_layout_lock = threading.Lock()
-
-
 class _DofLayout:
+    """Packed real dofs of a field and their maps into the spectral plan.
+
+    Real fields pack [c0, Re c(k)..., Im c(k)...] over the canonical
+    half-lattice; complex fields [Re c(k)..., Im c(k)...] over the ball.
+    The maps address the plan's spectrum as float64 parts: the real part
+    of entry j at 2j, its imaginary part at 2j + 1.
+    """
+
     def __init__(self, grid, field_type):
         nk = grid.nk
         ball = grid.ball_mask()
         omega_sq = grid.mode_nsq()
+        real = field_type == REAL_FIELD
+        plan = spectral_plan(grid, real)
         self.grid = grid
         self.field_type = field_type
-        self.center = grid.kmax * nk + grid.kmax
-        if field_type == REAL_FIELD:
+        self.plan = plan
+        k1, k2 = np.meshgrid(grid.axes_k(), grid.axes_k(), indexing="ij")
+        if real:
             half = _canonical_half_mask(grid)
+            self.center = grid.kmax * nk + grid.kmax
             self.half_flat = np.flatnonzero(half.ravel())
-            self.n_pair = len(self.half_flat)
-            self.dim = 1 + 2 * self.n_pair
+            n = len(self.half_flat)
+            self.dim = 1 + 2 * n
             nsq_half = omega_sq.ravel()[self.half_flat]
             # |n|^2 per dof; the Gaussian curvature is volume*(m^2+|n|^2)
             # times 2 for conjugate-pair dofs
             self._nsq_dof = np.concatenate(([0.0], np.repeat(nsq_half, 2)))
-            self._pair_factor = np.concatenate(
-                ([1.0], np.full(2 * self.n_pair, 2.0)))
+            self._nsq_block = np.concatenate(([0.0], nsq_half, nsq_half))
+            self._pair_factor = np.concatenate(([1.0], np.full(2 * n, 2.0)))
+            # the stored entries (k2 >= 0) hold c0, c(k) for canonical k
+            # and conj c(-k) for the others; c0 has no imaginary part
+            pair = np.full((nk, nk), -1)
+            pair.ravel()[self.half_flat] = np.arange(n)
+            stored = ball & (k2 >= 0)
+            owner = np.where(half, pair, pair[::-1, ::-1])[stored]
+            is_c0 = owner < 0
+            conj = np.where(half, 1.0, -1.0)[stored][~is_c0]
+            self._src = np.concatenate((np.where(is_c0, 0, 1 + owner),
+                                        1 + n + owner[~is_c0]))
+            self._sign = np.concatenate((np.ones(len(owner)), conj))
+            im_kept = ~is_c0
+            # the gradient of a canonical mode with k2 < 0 is read at -k
+            flip = np.where(k2 >= 0, 1, -1).ravel()[self.half_flat]
+            pos = plan.index(k1.ravel()[self.half_flat] * flip,
+                             k2.ravel()[self.half_flat] * flip)
+            c0 = plan.index(0, 0)
+            self._grad_parts = np.concatenate(([2 * c0], 2 * pos, 2 * pos + 1))
+            grad_sign = np.concatenate(([1.0], np.ones(n), flip))
         else:
             self.active_flat = np.flatnonzero(ball.ravel())
-            self.n_active = len(self.active_flat)
-            self.dim = 2 * self.n_active
+            self.dim = 2 * len(self.active_flat)
             nsq_act = omega_sq.ravel()[self.active_flat]
-            self._nsq_dof = np.concatenate((nsq_act, nsq_act))
+            self._nsq_dof = self._nsq_block = np.concatenate((nsq_act, nsq_act))
             self._pair_factor = np.full(self.dim, 2.0)
+            stored = ball
+            im_kept = np.ones(len(self.active_flat), dtype=bool)
+            self._src = np.arange(self.dim)
+            self._sign = np.ones(self.dim)
+            pos = plan.index(k1[ball], k2[ball])
+            self._grad_parts = np.concatenate((2 * pos, 2 * pos + 1))
+            grad_sign = np.ones(self.dim)
+        # volume * pair factor * conjugation sign: the weight of a packed
+        # band spectrum in a packed gradient
+        self._grad_weight = grid.volume * self._pair_factor * grad_sign
+
+        def parts(flat):
+            return np.concatenate((2 * flat, 2 * flat[im_kept] + 1))
+
+        self._band_parts = parts(np.flatnonzero(plan.stored(stored).ravel()))
         self._curv_cache = {}
-        # alias-free physical grid for quartic/cubic evaluation:
-        # products of degree 4 of a kmax-band field need P > 4*kmax
-        p = 4 * grid.kmax + 2
-        self.P = int(sfft.next_fast_len(max(p, 4)))
-        self.pad_ix = _pad_indices(grid.kmax, self.P)
 
     def curvature(self, m):
         """Per-dof curvature of the Gaussian part of the action."""
@@ -148,6 +180,15 @@ class _DofLayout:
             self._curv_cache[m] = (self._pair_factor * self.grid.volume
                                    * (m**2 + self._nsq_dof))
         return self._curv_cache[m]
+
+    def gauss_curvature(self, m):
+        """The curvature in pack order: dofs * gauss_curvature(m) is the
+        gradient of the Gaussian part."""
+        key = ("block", m)
+        if key not in self._curv_cache:
+            self._curv_cache[key] = (self._pair_factor * self.grid.volume
+                                     * (m**2 + self._nsq_block))
+        return self._curv_cache[key]
 
     # -- packing -----------------------------------------------------------
     def pack(self, coeffs):
@@ -161,123 +202,90 @@ class _DofLayout:
         ca = flat[..., self.active_flat]
         return np.concatenate((ca.real, ca.imag), axis=-1)
 
+    def _parts(self, dofs):
+        """Real and imaginary parts of the stored entries of packed dofs."""
+        return dofs[..., self._src] * self._sign
+
     def unpack(self, dofs):
-        nk = self.grid.nk
-        flat = np.zeros(dofs.shape[:-1] + (nk * nk,), dtype=np.complex128)
-        if self.field_type == REAL_FIELD:
-            n = self.n_pair
-            flat[..., self.half_flat] = dofs[..., 1:1 + n] + 1j * dofs[..., 1 + n:]
-            c = flat.reshape(dofs.shape[:-1] + (nk, nk))
-            c = c + np.conj(c[..., ::-1, ::-1])
-            c[..., self.grid.kmax, self.grid.kmax] = dofs[..., 0]
-            return c
-        n = self.n_active
-        flat[..., self.active_flat] = dofs[..., :n] + 1j * dofs[..., n:]
-        return flat.reshape(dofs.shape[:-1] + (nk, nk))
+        plan = self.plan
+        lead = dofs.shape[:-1]
+        band = np.zeros(lead + (plan.nk, plan.ncols), dtype=np.complex128)
+        band.reshape(lead + (-1,)).view(np.float64)[
+            ..., self._band_parts] = self._parts(dofs)
+        return plan.complete(band)
 
-    def pack_gradient(self, g_coeffs):
-        """Pack a complex gradient array (mirrored over the lattice) into
-        per-dof derivatives; see action_gradient for the conventions."""
-        nk = self.grid.nk
-        flat = g_coeffs.reshape(g_coeffs.shape[:-2] + (nk * nk,))
-        if self.field_type == REAL_FIELD:
-            gh = flat[..., self.half_flat]
-            return np.concatenate((
-                flat[..., self.center:self.center + 1].real,
-                gh.real, gh.imag), axis=-1)
-        ga = flat[..., self.active_flat]
-        return np.concatenate((ga.real, ga.imag), axis=-1)
+    def to_grid(self, dofs):
+        """The field of packed dofs on the plan's padded grid."""
+        return self.plan.to_grid(self._parts(dofs), self._band_parts)
+
+    def grad_spectrum(self, samples):
+        """Band spectrum of padded samples, packed like the dofs and
+        weighted as a gradient: volume times the pair factor."""
+        return self._grad_weight * self.plan.from_grid(samples,
+                                                       self._grad_parts)
 
 
+@functools.lru_cache(maxsize=16)
 def _layout(grid, field_type):
-    key = (grid, field_type)
-    with _layout_lock:
-        if key not in _layout_cache:
-            _layout_cache[key] = _DofLayout(grid, field_type)
-        return _layout_cache[key]
-
-
-def _padded_physical(lay, coeffs):
-    big = np.zeros(coeffs.shape[:-2] + (lay.P, lay.P), dtype=np.complex128)
-    big[..., lay.pad_ix[0], lay.pad_ix[1]] = coeffs
-    return sfft.ifft2(big) * lay.P**2
-
-
-def _band_coeffs(lay, samples):
-    spec = sfft.fft2(samples) / lay.P**2
-    out = spec[..., lay.pad_ix[0], lay.pad_ix[1]]
-    return np.where(lay.grid.ball_mask(), out, 0.0)
+    return _DofLayout(grid, field_type)
 
 
 # ---------------------------------------------------------------------------
 # Action and gradient
 
+def _wick_quartic(spec, z, want_cubic=False):
+    """Sum over padded samples z of the Wick quartic density, and the
+    Wick cubic whose band spectrum is the density's gradient over 4
+    (real) or 2 (complex) when want_cubic (else None)."""
+    a = spec.a
+    if spec.field_type == REAL_FIELD:
+        # u^4 - 6a u^2 + 3a^2 = (u^2 - 3a)^2 - 6a^2
+        y = z * z
+        y -= 3.0 * a
+        shift = 6.0 * a * a
+    else:
+        # |u|^4 - 4a |u|^2 + 2a^2 = (|u|^2 - 2a)^2 - 2a^2
+        y = z.real * z.real + z.imag * z.imag
+        y -= 2.0 * a
+        shift = 2.0 * a * a
+    total = np.sum(np.square(y), axis=(-2, -1)) - shift * z.shape[-1] ** 2
+    return total, (y * z if want_cubic else None)
+
+
 def quartic_integral(spec: MeasureSpec, coeffs):
     """int (u^4 - 6a u^2 + 3a^2) dx (real) or the |u|^4 analogue (complex),
     exact via alias-free quadrature; batched over leading axes."""
-    lay = _layout(spec.grid, spec.field_type)
-    a = spec.a
-    z = _padded_physical(lay, coeffs)
-    cell = (spec.grid.L / lay.P) ** 2
-    if spec.field_type == REAL_FIELD:
-        z2 = np.ascontiguousarray(z.real)
-        z2 *= z2
-        dens = z2 * (z2 - 6.0 * a) + 3.0 * a * a
-    else:
-        zsq = z.real * z.real + z.imag * z.imag
-        dens = zsq * (zsq - 4.0 * a) + 2.0 * a * a
-    return np.sum(dens, axis=(-2, -1)) * cell
+    plan = spectral_plan(spec.grid, spec.field_type == REAL_FIELD)
+    return _wick_quartic(spec, plan.to_grid(coeffs))[0] \
+        * (spec.grid.L / plan.P) ** 2
 
 
 def action(u, spec: MeasureSpec):
     """S(u), the negative log-density up to a constant."""
     coeffs = u.coeffs if isinstance(u, FourierField) else np.asarray(u)
-    return _action_and_gradient(spec, coeffs, want_gradient=False)[0]
+    return _action_and_gradient(spec, pack_dofs(spec, coeffs),
+                                want_gradient=False)[0]
 
 
-def _action_and_gradient(spec, coeffs, want_gradient=True):
-    """Returns (S, grad) with S batched over leading axes and grad packed
-    per dof (or None).  One padded FFT round trip serves both the quartic
-    integral and the cubic gradient term."""
-    grid = spec.grid
-    lay = _layout(grid, spec.field_type)
-    a, q = spec.a, spec.q
-    osq = grid.mode_nsq() + spec.m**2
-    quad = 0.5 * grid.volume * np.sum(osq * np.abs(coeffs) ** 2, axis=(-2, -1))
-    if spec.field_type == COMPLEX_FIELD:
-        quad = 2.0 * quad
-
-    z = _padded_physical(lay, coeffs)
-    cell = (grid.L / lay.P) ** 2
-    if spec.field_type == REAL_FIELD:
-        z = np.ascontiguousarray(z.real)
-        z2 = z * z
-        w = z2 * (z2 - 6.0 * a) + 3.0 * a * a
-        cubic = z * (z2 - 3.0 * a)
-    else:
-        zsq = z.real * z.real + z.imag * z.imag
-        w = zsq * (zsq - 4.0 * a) + 2.0 * a * a
-        cubic = (zsq - 2.0 * a) * z
-    s = quad + q * np.sum(w, axis=(-2, -1)) * cell
+def _action_and_gradient(spec, dofs, want_gradient=True):
+    """Returns (S, grad) for packed dofs, with S batched over leading axes
+    and grad packed per dof (or None).  One padded transform pair serves
+    both the quartic integral and the cubic gradient term."""
+    lay = _layout(spec.grid, spec.field_type)
+    curv = lay.gauss_curvature(spec.m)
+    quart, cubic = _wick_quartic(spec, lay.to_grid(dofs), want_gradient)
+    s = 0.5 * np.sum(curv * dofs * dofs, axis=-1) \
+        + spec.q * (spec.grid.L / lay.plan.P) ** 2 * quart
     if not want_gradient:
         return s, None
-    d = _band_coeffs(lay, cubic)
-    if spec.field_type == REAL_FIELD:
-        d = hermitian_symmetrize(d)
-        g = 2.0 * grid.volume * (osq * coeffs + 4.0 * q * d)
-        g05 = grid.volume * (osq * coeffs + 4.0 * q * d)
-        g = np.where(grid.ball_mask(), g, 0.0)
-        g[..., grid.kmax, grid.kmax] = g05[..., grid.kmax, grid.kmax]
-    else:
-        g = 2.0 * grid.volume * (osq * coeffs + 2.0 * q * d)
-        g = np.where(grid.ball_mask(), g, 0.0)
-    return s, lay.pack_gradient(g)
+    mult = (4.0 if spec.field_type == REAL_FIELD else 2.0) * spec.q
+    return s, curv * dofs + mult * lay.grad_spectrum(cubic)
 
 
 def action_gradient(u, spec: MeasureSpec):
     """Gradient of S with respect to the packed real degrees of freedom."""
     coeffs = u.coeffs if isinstance(u, FourierField) else np.asarray(u)
-    return _action_and_gradient(spec, coeffs)[1]
+    return _action_and_gradient(spec, pack_dofs(spec, coeffs))[1]
 
 
 def pack_dofs(spec, coeffs):
@@ -426,14 +434,14 @@ def mala_step(state: ChainState, dt, precondition=True, tame_sd=5.0):
     gen = state.generator()
     x = state.dofs
     if state._cache is None:
-        s0, g0 = _action_and_gradient(spec, unpack_dofs(spec, x))
+        s0, g0 = _action_and_gradient(spec, x)
         state._cache = (s0, g0)
     s0, g0 = state._cache
 
     noise = gen.standard_normal(x.shape)
     mean_fwd = x - _tamed_drift(dt * amat * g0, dt, amat, tame_sd)
     prop = mean_fwd + np.sqrt(2.0 * dt * amat) * noise
-    s1, g1 = _action_and_gradient(spec, unpack_dofs(spec, prop))
+    s1, g1 = _action_and_gradient(spec, prop)
     mean_back = prop - _tamed_drift(dt * amat * g1, dt, amat, tame_sd)
     log_q_fwd = -np.sum(noise**2, axis=-1) / 2.0
     log_q_back = -np.sum((x - mean_back) ** 2 / (2.0 * dt * amat) / 2.0,
@@ -490,7 +498,7 @@ def hmc_step(state: ChainState, eps, n_leap=10, flip_prob=0.5):
     gen = state.generator()
     x = state.dofs
     if state._cache is None:
-        state._cache = _action_and_gradient(spec, unpack_dofs(spec, x))
+        state._cache = _action_and_gradient(spec, x)
     s0, g0 = state._cache
 
     p = np.sqrt(mass) * gen.standard_normal(x.shape)
@@ -502,7 +510,7 @@ def hmc_step(state: ChainState, eps, n_leap=10, flip_prob=0.5):
         p = p - 0.5 * eps * g
         for i in range(n_leap):
             xq = xq + eps * p / mass
-            s1, g = _action_and_gradient(spec, unpack_dofs(spec, xq))
+            s1, g = _action_and_gradient(spec, xq)
             p = p - (eps if i < n_leap - 1 else 0.5 * eps) * g
         h1 = s1 + 0.5 * np.sum(p * p / mass, axis=-1)
 
@@ -553,10 +561,27 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
     """
     spec = state.spec
     gen = state.generator()
-    coeffs = state.coeffs()
+    dofs = state.dofs
     batch = state.batch
-    k0 = spec.grid.kmax
-    v = coeffs[..., k0, k0].copy()
+    lay = _layout(spec.grid, spec.field_type)
+    if spec.field_type == REAL_FIELD:
+        zero = [0]
+    else:
+        i0 = int(np.searchsorted(lay.active_flat, spec.grid.kmax
+                                 * (spec.grid.nk + 1)))
+        zero = [i0, lay.dim // 2 + i0]
+
+    def with_zero_mode(value):
+        d = dofs.copy()
+        d[..., zero] = np.stack((value.real, value.imag), -1)[..., :len(zero)]
+        return d
+
+    def action_at(value):
+        return np.atleast_1d(_action_and_gradient(
+            spec, with_zero_mode(value), want_gradient=False)[0])
+
+    v = dofs[..., zero[0]] + (1j * dofs[..., zero[1]] if len(zero) > 1
+                              else 0.0)
     if spec.field_type == REAL_FIELD:
         e = np.ones(batch, dtype=np.complex128)
     else:
@@ -569,10 +594,7 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
     nodes = R * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     svals = np.empty((5, batch))
     for i, t in enumerate(nodes):
-        c = coeffs.copy()
-        c[..., k0, k0] = v_perp + t * e
-        svals[i] = np.atleast_1d(
-            _action_and_gradient(spec, c, want_gradient=False)[0])
+        svals[i] = action_at(v_perp + t * e)
     # quartic through the five nodes in the scaled coordinate w / R
     vand = np.vander(nodes / R, 5)
     coefs = np.linalg.solve(vand, svals)          # (5, batch)
@@ -602,15 +624,11 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
         s_cur = np.atleast_1d(state._cache[0])
     else:
         s_cur = np.atleast_1d(
-            _action_and_gradient(spec, coeffs, want_gradient=False)[0])
-    c = coeffs.copy()
-    c[..., k0, k0] = v_perp + w1 * e
-    s_new = np.atleast_1d(
-        _action_and_gradient(spec, c, want_gradient=False)[0])
+            _action_and_gradient(spec, dofs, want_gradient=False)[0])
+    s_new = action_at(v_perp + w1 * e)
     log_alpha = (s_cur - s_new) + (logq0 - logq1)
     accept = np.log(gen.random(batch)) < log_alpha
-    coeffs[..., k0, k0] = np.where(accept, v_perp + w1 * e, v)
-    state.dofs = pack_dofs(spec, coeffs)
+    state.dofs = with_zero_mode(np.where(accept, v_perp + w1 * e, v))
     state._cache = None
     state.step_count += 1
     return state
@@ -662,114 +680,6 @@ def rejection_oracle(spec: MeasureSpec, n_samples, rng: RngStream,
 
 
 # ---------------------------------------------------------------------------
-# Exponential-Euler Langevin with the rough/smooth split u = Z + phi
-
-def ou_update(grid, m, z_coeffs, dt, gen):
-    """Exact per-mode Ornstein-Uhlenbeck update whose stationary law is the
-    truncated free field: z <- e^{-w^2 dt} z + sqrt((1-e^{-2 w^2 dt})/(L^2 w^2)) g."""
-    osq = grid.mode_nsq() + m**2
-    decay = np.exp(-osq * dt)
-    g = _hermitian_gaussian_coeffs(grid, gen, z_coeffs.shape[0]
-                                   if z_coeffs.ndim == 3 else None)
-    std = np.sqrt((1.0 - decay**2) / (grid.volume * osq))
-    z = decay * z_coeffs + std * g
-    return np.where(grid.ball_mask(), z, 0.0)
-
-
-def shifted_cubic_coeffs(grid, z_coeffs, phi_coeffs, a):
-    """Coefficients of the Wick cubic of Z + phi (binomial Hermite
-    expansion, alias-free, truncated to the active ball); batched."""
-    lay = _layout(grid, REAL_FIELD)
-    z = _padded_physical(lay, z_coeffs).real
-    f = _padded_physical(lay, phi_coeffs).real
-    total = (z**3 - 3.0 * a * z) + 3.0 * (z * z - a) * f + 3.0 * z * f**2 + f**3
-    return hermitian_symmetrize(_band_coeffs(lay, total))
-
-
-def exponential_euler_step(phi_coeffs, z_coeffs, spec: MeasureSpec, dt):
-    """phi <- e^{-(m^2-Lap) dt} phi - (1-e^{-(m^2-Lap) dt})/(m^2-Lap)
-    * lambda * wick_cubic(Z + phi); the linear part is exact."""
-    if dt <= 0:
-        raise ValueError("step size dt must be positive")
-    grid = spec.grid
-    osq = grid.mode_nsq() + spec.m**2
-    decay = np.exp(-osq * dt)
-    cubic = shifted_cubic_coeffs(grid, z_coeffs, phi_coeffs, spec.a)
-    phi = decay * phi_coeffs - ((1.0 - decay) / osq) * spec.lam * cubic
-    return np.where(grid.ball_mask(), phi, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Energy-identity diagnostic along a stored (Z, phi) trajectory
-
-def energy_identity_diagnostic(times, z_coeffs_list, phi_coeffs_list,
-                               spec: MeasureSpec,
-                               weight: WeightSpec = WeightSpec()):
-    """Evaluate each term of the weighted energy identity per time step.
-
-    Testing the pairing of the dissipative flow with rho*phi gives
-
-      (1/2) d/dt |rho^(1/2) phi|^2 + m^2 |rho^(1/2) phi|^2
-        + |rho^(1/2) D phi|^2 + lam * int rho phi^4
-        + lam * [int rho :Z^3: phi + 3 int rho :Z^2: phi^2 + 3 int rho Z phi^3]
-        + int phi (D rho . D phi) = 0,
-
-    with D the scaled gradient (symbol i n).  With the flat weight the
-    spatial terms are alias-free and the residual is pure time-stepping
-    error; with a decaying weight the identity additionally carries a
-    (reported, not hidden) projection commutator.
-    """
-    grid = spec.grid
-    lay = _layout(grid, REAL_FIELD)
-    a, lam, m = spec.a, spec.lam, spec.m
-    P = lay.P
-    cell = (grid.L / P) ** 2
-    # padded physical coordinates, wrapped to the centered window
-    xg = (np.arange(P) * (grid.L / P) + grid.L / 2) % grid.L - grid.L / 2
-    x1, x2 = np.meshgrid(xg, xg, indexing="ij")
-    if weight.mode == FLAT:
-        rho = np.ones_like(x1)
-        drho1 = drho2 = np.zeros_like(x1)
-    else:
-        base = 1.0 + x1**2 + x2**2
-        rho = base ** (-weight.alpha / 2.0)
-        grad_pref = -weight.alpha * base ** (-weight.alpha / 2.0 - 1.0)
-        drho1 = grad_pref * x1 / (2.0 * np.pi)
-        drho2 = grad_pref * x2 / (2.0 * np.pi)
-
-    n1, n2 = grid.mode_n()
-    terms = {k: [] for k in ("energy", "mass", "gradient", "quartic",
-                             "g_linear", "g_quadratic", "g_cubic",
-                             "commutator")}
-    for zc, pc in zip(z_coeffs_list, phi_coeffs_list):
-        z = _padded_physical(lay, zc).real
-        f = _padded_physical(lay, pc).real
-        df1 = _padded_physical(lay, 1j * n1 * pc).real
-        df2 = _padded_physical(lay, 1j * n2 * pc).real
-        terms["energy"].append(np.sum(rho * f**2) * cell)
-        terms["mass"].append(m**2 * np.sum(rho * f**2) * cell)
-        terms["gradient"].append(np.sum(rho * (df1**2 + df2**2)) * cell)
-        terms["quartic"].append(lam * np.sum(rho * f**4) * cell)
-        terms["g_linear"].append(lam * np.sum(rho * (z**3 - 3 * a * z) * f) * cell)
-        terms["g_quadratic"].append(3 * lam * np.sum(rho * (z * z - a) * f**2) * cell)
-        terms["g_cubic"].append(3 * lam * np.sum(rho * z * f**3) * cell)
-        terms["commutator"].append(np.sum(f * (drho1 * df1 + drho2 * df2)) * cell)
-    out = {k: np.asarray(v) for k, v in terms.items()}
-    t = np.asarray(times, dtype=float)
-    if len(t) >= 2:
-        # forward differences: step i covers [t_i, t_{i+1}] and is driven by
-        # the noise field stored at t_i, so the identity holds to O(dt)
-        # when its right-hand side is evaluated at the left endpoint
-        dedt = np.diff(out["energy"]) / np.diff(t)
-        rhs = (out["mass"] + out["gradient"] + out["quartic"]
-               + out["g_linear"] + out["g_quadratic"] + out["g_cubic"]
-               + out["commutator"])[:-1]
-        out["residual"] = 0.5 * dedt + rhs
-    out["times"] = t
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Chain runner
 
 def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
@@ -777,12 +687,12 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
               precondition=True, n_leap=10):
     """Draw n_samples coefficient arrays from the measure.
 
-    sampler in {"hmc", "mala", "exp_euler", "rejection_oracle"}; "hmc"
+    sampler in {"hmc", "mala", "rejection_oracle"}; "hmc"
     mixes orders of magnitude faster on large mode sets and is the
     default choice for ensemble work.  Returns (samples, manifest);
     reproducible bit-for-bit from (spec, rng, options).
     """
-    if sampler not in ("hmc", "mala", "exp_euler", "rejection_oracle"):
+    if sampler not in ("hmc", "mala", "rejection_oracle"):
         raise ValueError("unknown sampler %r" % (sampler,))
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -799,101 +709,73 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         manifest.update(info)
         return samples, manifest
 
-    if sampler in ("mala", "hmc"):
-        if batch is None:
-            batch = min(max(n_samples, 1), 64)
-        state = init_chain(spec, rng, batch=batch)
-        if sampler == "hmc":
-            dt = 0.2 if dt is None else dt
-            burn = burn_in if burn_in is not None else 128
-            dt = tune_hmc_step(state, dt, steps=max(20, burn // 3),
-                               n_leap=n_leap)
-            depth_coeff = 9.0 if spec.field_type == REAL_FIELD else 4.0
-            deep = (spec.q > 0.0 and spec.a > 0.0 and
-                    spec.q * grid.volume * depth_coeff * spec.a**2 > 5.0)
-
-            def step(st, d):
-                hmc_step(st, d, n_leap)
-                if deep:
-                    # the magnetization is the slow collective mode in
-                    # the deep-well regime; resample it exactly
-                    zero_mode_gibbs_step(st)
-                return st
-        else:
-            dt = 0.25 if dt is None else dt
-            burn = burn_in if burn_in is not None else max(
-                64, int(math.ceil(10.0 / (spec.m**2 * dt))))
-            dt = tune_step_size(state, dt, steps=max(20, burn // 3),
-                                precondition=precondition)
-
-            def step(st, d):
-                return mala_step(st, d, precondition)
-        probe = []
-        for _ in range(burn):
-            step(state, dt)
-            probe.append(np.sum(np.abs(state.dofs) ** 2, axis=-1))
-        if thinning is None:
-            from .stats import integrated_autocorr_time
-            series = np.asarray(probe)[burn // 2:, 0]
-            thinning = max(1, int(math.ceil(
-                2.0 * integrated_autocorr_time(series))))
-        per_chain = int(math.ceil(n_samples / batch))
-        samples = np.empty((per_chain, batch, grid.nk, grid.nk),
-                           dtype=np.complex128)
-        for i in range(per_chain):
-            for _ in range(thinning):
-                step(state, dt)
-            samples[i] = state.coeffs()
-        from .stats import integrated_autocorr_time
-        if per_chain >= 4:
-            # effective sample size from the thinned per-chain probe series
-            probe_series = np.sum(np.abs(samples) ** 2, axis=(-2, -1))
-            taus = [integrated_autocorr_time(probe_series[:, b])
-                    for b in range(min(batch, 16))]
-            ess = n_samples / (2.0 * float(np.mean(taus)))
-        else:
-            ess = float(n_samples)   # one-shot thinned draws per chain
-        samples = samples.reshape(-1, grid.nk, grid.nk)[:n_samples]
-        # the action is invariant under a global sign flip (real field) or
-        # global phase rotation (complex field), so randomizing that group
-        # orbit per sample is measure-exact and removes the corresponding
-        # slow collective autocorrelation from the output for free
-        sym_gen = rng.child(3).generator()
-        if spec.field_type == REAL_FIELD:
-            signs = sym_gen.choice((-1.0, 1.0), size=n_samples)
-            samples *= signs[:, None, None]
-        else:
-            phases = np.exp(2j * np.pi * sym_gen.random(n_samples))
-            samples *= phases[:, None, None]
-        manifest.update({"dt": dt, "burn_in": burn, "thinning": thinning,
-                         "batch": batch, "ess": ess,
-                         "acceptance_rate": state.acceptance_rate,
-                         "overflow_rejections": state.overflow})
-        return samples, manifest
-
-    # exp_euler: Langevin on the rough/smooth split; approximate sampler
-    dt = 0.05 if dt is None else dt
     if batch is None:
         batch = min(max(n_samples, 1), 64)
-    burn = burn_in if burn_in is not None else int(
-        math.ceil(10.0 / (spec.m**2 * dt)))
-    thinning = thinning if thinning is not None else max(
-        1, int(math.ceil(2.0 / (spec.m**2 * dt))))
-    gen = rng.child(2).generator()
-    z = sample_gff_coeffs(grid, spec.m, rng.child(0), size=batch)
-    phi = np.zeros_like(z)
+    state = init_chain(spec, rng, batch=batch)
+    if sampler == "hmc":
+        dt = 0.2 if dt is None else dt
+        burn = burn_in if burn_in is not None else 128
+        dt = tune_hmc_step(state, dt, steps=max(20, burn // 3),
+                           n_leap=n_leap)
+        depth_coeff = 9.0 if spec.field_type == REAL_FIELD else 4.0
+        deep = (spec.q > 0.0 and spec.a > 0.0 and
+                spec.q * grid.volume * depth_coeff * spec.a**2 > 5.0)
+
+        def step(st, d):
+            hmc_step(st, d, n_leap)
+            if deep:
+                # the magnetization is the slow collective mode in
+                # the deep-well regime; resample it exactly
+                zero_mode_gibbs_step(st)
+            return st
+    else:
+        dt = 0.25 if dt is None else dt
+        burn = burn_in if burn_in is not None else max(
+            64, int(math.ceil(10.0 / (spec.m**2 * dt))))
+        dt = tune_step_size(state, dt, steps=max(20, burn // 3),
+                            precondition=precondition)
+
+        def step(st, d):
+            return mala_step(st, d, precondition)
+    probe = []
     for _ in range(burn):
-        z = ou_update(grid, spec.m, z, dt, gen)
-        phi = exponential_euler_step(phi, z, spec, dt)
+        step(state, dt)
+        probe.append(np.sum(np.abs(state.dofs) ** 2, axis=-1))
+    if thinning is None:
+        from .stats import integrated_autocorr_time
+        series = np.asarray(probe)[burn // 2:, 0]
+        thinning = max(1, int(math.ceil(
+            2.0 * integrated_autocorr_time(series))))
     per_chain = int(math.ceil(n_samples / batch))
     samples = np.empty((per_chain, batch, grid.nk, grid.nk),
                        dtype=np.complex128)
     for i in range(per_chain):
         for _ in range(thinning):
-            z = ou_update(grid, spec.m, z, dt, gen)
-            phi = exponential_euler_step(phi, z, spec, dt)
-        samples[i] = z + phi
+            step(state, dt)
+        samples[i] = state.coeffs()
+    from .stats import integrated_autocorr_time
+    if per_chain >= 4:
+        # effective sample size from the thinned per-chain probe series
+        probe_series = np.sum(np.abs(samples) ** 2, axis=(-2, -1))
+        taus = [integrated_autocorr_time(probe_series[:, b])
+                for b in range(min(batch, 16))]
+        ess = n_samples / (2.0 * float(np.mean(taus)))
+    else:
+        ess = float(n_samples)   # one-shot thinned draws per chain
     samples = samples.reshape(-1, grid.nk, grid.nk)[:n_samples]
+    # the action is invariant under a global sign flip (real field) or
+    # global phase rotation (complex field), so randomizing that group
+    # orbit per sample is measure-exact and removes the corresponding
+    # slow collective autocorrelation from the output for free
+    sym_gen = rng.child(3).generator()
+    if spec.field_type == REAL_FIELD:
+        signs = sym_gen.choice((-1.0, 1.0), size=n_samples)
+        samples *= signs[:, None, None]
+    else:
+        phases = np.exp(2j * np.pi * sym_gen.random(n_samples))
+        samples *= phases[:, None, None]
     manifest.update({"dt": dt, "burn_in": burn, "thinning": thinning,
-                     "batch": batch})
+                     "batch": batch, "ess": ess,
+                     "acceptance_rate": state.acceptance_rate,
+                     "overflow_rejections": state.overflow})
     return samples, manifest

@@ -23,12 +23,14 @@ are identically zero.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
 _MAGIC = b"WWF1"
 _SNAPSHOT_VERSION = 1
@@ -167,10 +169,6 @@ class FourierField:
     __rmul__ = __mul__
 
 
-def zero_field(grid, real=True):
-    return FourierField(grid, np.zeros((grid.nk, grid.nk), dtype=np.complex128), real)
-
-
 def _check_same_grid(f, g):
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
@@ -239,57 +237,115 @@ def project_array(grid, coeffs, radius):
 
 
 # ---------------------------------------------------------------------------
-# dealiased products
+# the spectral plan: alias-free padded transforms
 
-_pad_cache: dict = {}
-_pad_lock = threading.Lock()
+class SpectralPlan:
+    """Alias-free transforms between a grid's stored band and a P x P grid.
 
+    P = next_fast_len((degree + 1) * kmax + 2) exceeds (degree + 1) * kmax,
+    so a product of `degree` band-limited factors truncated back to the
+    band, and the integral of a product of degree + 1 factors, are exact
+    (Orszag 1971).  The padded samples sit at x_j = j L / P; the shift from
+    the centred grid changes no product or integral.
 
-def _pad_indices(kmax, P):
-    with _pad_lock:
-        key = (kmax, P)
-        if key not in _pad_cache:
-            idx = np.arange(-kmax, kmax + 1) % P
-            _pad_cache[key] = np.ix_(idx, idx)
-        return _pad_cache[key]
-
-
-def _product_coeffs(grid, coeff_list, out_kmax):
-    """Exact spectral product of band-limited coefficient arrays.
-
-    Zero-pads to a grid large enough that no aliasing occurs anywhere in
-    the product spectrum, multiplies pointwise, and transforms back.
-    Supports batched inputs (..., nk, nk); output is truncated to the
-    centered square [-out_kmax, out_kmax]^2.
+    The stored spectrum has shape (..., nk, ncols): the columns k2 >= 0 of
+    a real field (its other half is the conjugate), all nk columns of a
+    complex one.  The inverse transform is one complex pass along axis -2
+    over the stored columns and one pass over every row along axis -1
+    (`irfft` for real fields); the forward transform mirrors it.  Both
+    scale with norm="forward", so the inverse is the bare Fourier sum.
     """
-    j = len(coeff_list)
-    kmax = grid.kmax
-    # Per-axis product bandwidth is j*kmax; P > 2*j*kmax makes the padded
-    # spectrum exact for every output bin.
-    P = 2 * j * kmax + 2
-    P = int(2 ** np.ceil(np.log2(max(P, 4))))  # power of two for fast FFTs
-    ix = _pad_indices(kmax, P)
-    phys = None
-    for c in coeff_list:
-        big = np.zeros(c.shape[:-2] + (P, P), dtype=np.complex128)
-        big[..., ix[0], ix[1]] = c
-        u = np.fft.ifft2(big) * P**2
-        phys = u if phys is None else phys * u
-    spec = np.fft.fft2(phys) / P**2
-    out_ix = _pad_indices(out_kmax, P)
-    return spec[..., out_ix[0], out_ix[1]]
+
+    def __init__(self, grid, real, degree):
+        self.grid, self.real, self.kmax = grid, real, grid.kmax
+        self.nk = grid.nk
+        self.P = int(sfft.next_fast_len(max((degree + 1) * grid.kmax + 2, 4)))
+        self.ncols = grid.kmax + 1 if real else self.nk
+        self.rows = np.arange(-grid.kmax, grid.kmax + 1) % self.P
+        self.ball = grid.ball_mask()
+
+    def index(self, k1, k2):
+        """Flat positions of modes (k1, k2) in the stored spectrum; a real
+        field stores only k2 >= 0."""
+        return (np.asarray(k1) + self.kmax) * self.ncols + (
+            np.asarray(k2) + (0 if self.real else self.kmax))
+
+    def stored(self, coeffs):
+        """The stored spectrum of centred coefficients (..., nk, nk)."""
+        return coeffs[..., self.kmax:] if self.real else coeffs
+
+    def complete(self, stored):
+        """Centred coefficients from the stored spectrum; a real field gets
+        its k2 < 0 half by c(-k) = conj c(k), exactly Hermitian."""
+        if not self.real:
+            return stored
+        col0 = stored[..., :1]
+        col0 = 0.5 * (col0 + np.conj(col0[..., ::-1, :]))
+        return np.concatenate((np.conj(stored[..., ::-1, :0:-1]), col0,
+                               stored[..., 1:]), axis=-1)
+
+    def to_grid(self, values, parts=None):
+        """Samples on the P x P grid (real-valued for a real plan).
+
+        `values` are centred coefficients (..., nk, nk), or, with `parts`,
+        real numbers (..., n) placed at those positions of the stored
+        spectrum read as float64 pairs: the real part of entry j at 2j,
+        its imaginary part at 2j + 1."""
+        # irfft reads P // 2 + 1 columns; only the stored ones are nonzero
+        width = self.P // 2 + 1 if self.real else self.ncols
+        lead = values.shape[:-2] if parts is None else values.shape[:-1]
+        buf = np.zeros(lead + (self.P, width), dtype=np.complex128)
+        if parts is None:
+            buf[..., self.rows, :self.ncols] = self.stored(values)
+        else:
+            entry, col = np.divmod(parts // 2, self.ncols)
+            padded = 2 * (self.rows[entry] * width + col) + parts % 2
+            buf.reshape(lead + (-1,)).view(np.float64)[..., padded] = values
+        if not self.real:
+            buf = sfft.ifft(buf, axis=-2, norm="forward", overwrite_x=True)
+            big = np.zeros(lead + (self.P, self.P), dtype=np.complex128)
+            big[..., self.rows] = buf
+            return sfft.ifft(big, axis=-1, norm="forward", overwrite_x=True)
+        head = buf[..., :self.ncols]
+        out = sfft.ifft(head, axis=-2, norm="forward", overwrite_x=True)
+        if not np.shares_memory(out, buf):
+            head[...] = out
+        return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
+                          overwrite_x=True)
+
+    def from_grid(self, samples, parts=None, radius=None):
+        """Centred band coefficients (..., nk, nk) of P x P samples, zero
+        outside |n| <= radius (default: the cutoff K); with `parts`, the
+        float64 parts (..., n) at those positions of the stored spectrum
+        instead (see to_grid)."""
+        if self.real:
+            spec = sfft.rfft(samples, axis=-1, norm="forward")
+            spec = spec[..., :self.ncols]
+        else:
+            spec = sfft.fft(samples, axis=-1, norm="forward")[..., self.rows]
+        spec = sfft.fft(spec, axis=-2, norm="forward", overwrite_x=True)
+        band = spec[..., self.rows, :]
+        if parts is not None:
+            flat = np.ascontiguousarray(band).reshape(band.shape[:-2] + (-1,))
+            return flat.view(np.float64)[..., parts]
+        ball = self.ball if radius is None else self.grid.ball_mask(radius)
+        return np.where(ball, self.complete(band), 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def spectral_plan(grid, real=True, degree=3):
+    """The cached plan for products of `degree` factors on `grid`."""
+    return SpectralPlan(grid, real, degree)
 
 
 def dealiased_product_arrays(grid, coeff_list, output_radius=None, real=True):
     """Product of several coefficient arrays, truncated to |n| <= output_radius."""
-    r = grid.K if output_radius is None else output_radius
-    out_kmax = grid.kmax
-    prod = _product_coeffs(grid, coeff_list, out_kmax)
-    mask = grid.ball_mask(r)
-    prod = np.where(mask, prod, 0.0)
-    if real:
-        prod = hermitian_symmetrize(prod)
-    return prod
+    plan = spectral_plan(grid, real, len(coeff_list))
+    phys = None
+    for c in coeff_list:
+        u = plan.to_grid(c)
+        phys = u if phys is None else phys * u
+    return plan.from_grid(phys, radius=output_radius)
 
 
 def dealiased_power(f: FourierField, j, output_radius=None):
@@ -298,19 +354,6 @@ def dealiased_power(f: FourierField, j, output_radius=None):
         raise ValueError("power j must be one of 2, 3, 4")
     c = dealiased_product_arrays(f.grid, [f.coeffs] * j, output_radius, real=f.real)
     return FourierField(f.grid, c, f.real)
-
-
-def dealiased_product(fields, output_radius=None):
-    """Exact spectral product of 2..4 fields on a common grid."""
-    if not 2 <= len(fields) <= 4:
-        raise ValueError("product supports 2 to 4 factors")
-    grid = fields[0].grid
-    for g in fields[1:]:
-        _check_same_grid(fields[0], g)
-    real = all(f.real for f in fields)
-    c = dealiased_product_arrays(grid, [f.coeffs for f in fields],
-                                 output_radius, real=real)
-    return FourierField(grid, c, real)
 
 
 def convolution_power_oracle(f: FourierField, j, output_radius=None):

@@ -7,6 +7,7 @@ from wickwaves.gaussian import RngStream, wick_constant_lattice
 from wickwaves.phi4 import (
     COMPLEX_FIELD,
     MeasureSpec,
+    _action_and_gradient,
     action,
     action_gradient,
     hmc_step,
@@ -74,6 +75,48 @@ def test_gradient_matches_finite_differences(tiny_grid):
             fd = (action(unpack_dofs(spec, dp), spec)
                   - action(unpack_dofs(spec, dm), spec)) / (2 * eps)
             assert grad[i] == pytest.approx(float(fd), rel=1e-5, abs=1e-7)
+
+
+def _full_lattice_action_and_gradient(spec, dofs):
+    """S and its packed gradient through the unpacked coefficients and a
+    full complex transform on a padded lattice."""
+    grid = spec.grid
+    c = unpack_dofs(spec, dofs)
+    P = 4 * grid.kmax + 2
+    idx = np.arange(-grid.kmax, grid.kmax + 1) % P
+    big = np.zeros(c.shape[:-2] + (P, P), dtype=np.complex128)
+    big[..., idx[:, None], idx] = c
+    z = np.fft.ifft2(big) * P**2
+    a, q, vol = spec.a, spec.q, grid.volume
+    osq = spec.m**2 + grid.mode_nsq()
+    quad = 0.5 * vol * np.sum(osq * np.abs(c) ** 2, axis=(-2, -1))
+    if spec.field_type == COMPLEX_FIELD:
+        zsq = np.abs(z) ** 2
+        w, cubic, mult = zsq**2 - 4 * a * zsq + 2 * a * a, (zsq - 2 * a) * z, 2
+        quad = 2 * quad
+    else:
+        z = z.real
+        w, cubic, mult = z**4 - 6 * a * z**2 + 3 * a * a, z**3 - 3 * a * z, 4
+    s = quad + q * np.sum(w, axis=(-2, -1)) * (grid.L / P) ** 2
+    d = (np.fft.fft2(cubic) / P**2)[..., idx[:, None], idx]
+    g = np.where(grid.ball_mask(), 2 * vol * (osq * c + mult * q * d), 0.0)
+    if spec.field_type != COMPLEX_FIELD:
+        g[..., grid.kmax, grid.kmax] *= 0.5     # the zero mode is no pair
+    return s, pack_dofs(spec, g)
+
+
+@pytest.mark.parametrize("field", [None, COMPLEX_FIELD])
+@pytest.mark.parametrize("batch", [None, 4])
+def test_dofs_action_and_gradient_match_full_lattice(field, batch):
+    spec = _spec(TorusGrid(2.0, 32, 3.0), lam=0.9, a=0.6, field=field)
+    dofs = init_chain(spec, RngStream(12, 0), batch=batch or 1).dofs
+    if batch is None:
+        dofs = dofs[0]
+    s, g = _action_and_gradient(spec, dofs)
+    s_ref, g_ref = _full_lattice_action_and_gradient(spec, dofs)
+    assert np.shape(s) == np.shape(s_ref) and g.shape == dofs.shape
+    assert np.max(np.abs(s - s_ref)) < 1e-12 * np.max(np.abs(s_ref))
+    assert np.max(np.abs(g - g_ref)) < 1e-12 * np.max(np.abs(g_ref))
 
 
 def test_quartic_integral_constant_field(tiny_grid):

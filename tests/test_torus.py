@@ -17,6 +17,7 @@ from wickwaves.torus import (
     project,
     read_snapshot,
     snapshot_bytes,
+    spectral_plan,
     to_physical,
     to_physical_array,
     write_snapshot,
@@ -131,3 +132,26 @@ def test_physical_array_batched(small_grid, gen):
     phys = to_physical_array(small_grid, c)
     back = from_physical_array(small_grid, phys)
     assert np.max(np.abs(back - c)) < 1e-12
+
+
+@pytest.mark.parametrize("L, M, K, P",
+                         [(1.0, 16, 2.0, 10), (2.0, 32, 3.0, 27)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_spectral_plan_round_trip_and_cubic(L, M, K, P, real, batch, gen):
+    grid = TorusGrid(L, M, K)
+    plan = spectral_plan(grid, real)
+    assert plan.P == P
+    shape = (grid.nk, grid.nk) if batch is None else (batch, grid.nk, grid.nk)
+    c = np.where(grid.ball_mask(), gen.standard_normal(shape)
+                 + 1j * gen.standard_normal(shape), 0.0)
+    if real:
+        c = hermitian_symmetrize(c)
+    u = plan.to_grid(c)
+    assert np.isrealobj(u) == real
+    scale = np.max(np.abs(c))
+    assert np.max(np.abs(plan.from_grid(u) - c)) < 1e-12 * scale
+    cubic = plan.from_grid(u**3).reshape((-1, grid.nk, grid.nk))
+    for cb, got in zip(c.reshape((-1, grid.nk, grid.nk)), cubic):
+        want = convolution_power_oracle(FourierField(grid, cb, real), 3).coeffs
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
