@@ -263,6 +263,8 @@ class SpectralPlan:
         self.ncols = grid.kmax + 1 if real else self.nk
         self.rows = np.arange(-grid.kmax, grid.kmax + 1) % self.P
         self.ball = grid.ball_mask()
+        # a cached plan is shared by every caller
+        self.rows.flags.writeable = self.ball.flags.writeable = False
 
     def index(self, k1, k2):
         """Flat positions of modes (k1, k2) in the stored spectrum; a real
@@ -291,7 +293,8 @@ class SpectralPlan:
         real numbers (..., n) placed at those positions of the stored
         spectrum read as float64 pairs: the real part of entry j at 2j,
         its imaginary part at 2j + 1."""
-        # irfft reads P // 2 + 1 columns; only the stored ones are nonzero
+        # irfft reads P // 2 + 1 columns, of which only the stored ones are
+        # nonzero: the first pass transforms those, in place when scipy can
         width = self.P // 2 + 1 if self.real else self.ncols
         lead = values.shape[:-2] if parts is None else values.shape[:-1]
         buf = np.zeros(lead + (self.P, width), dtype=np.complex128)
