@@ -129,7 +129,8 @@ class _DofLayout:
             nsq_half = omega_sq.ravel()[self.half_flat]
             # |n|^2 per dof; the Gaussian curvature is volume*(m^2+|n|^2)
             # times 2 for conjugate-pair dofs
-            self._nsq_dof = np.concatenate(([0.0], nsq_half, nsq_half))
+            self._nsq_dof = np.concatenate(([0.0], np.repeat(nsq_half, 2)))
+            self._nsq_block = np.concatenate(([0.0], nsq_half, nsq_half))
             self._pair_factor = np.concatenate(([1.0], np.full(2 * n, 2.0)))
             # the stored entries (k2 >= 0) hold c0, c(k) for canonical k
             # and conj c(-k) for the others; c0 has no imaginary part
@@ -154,7 +155,7 @@ class _DofLayout:
             self.active_flat = np.flatnonzero(ball.ravel())
             self.dim = 2 * len(self.active_flat)
             nsq_act = omega_sq.ravel()[self.active_flat]
-            self._nsq_dof = np.concatenate((nsq_act, nsq_act))
+            self._nsq_dof = self._nsq_block = np.concatenate((nsq_act, nsq_act))
             self._pair_factor = np.full(self.dim, 2.0)
             stored = ball
             im_kept = np.ones(len(self.active_flat), dtype=bool)
@@ -174,12 +175,20 @@ class _DofLayout:
         self._curv_cache = {}
 
     def curvature(self, m):
-        """Per-dof curvature of the Gaussian part of the action, in pack
-        order: curvature(m) * dofs is that part's gradient."""
+        """Per-dof curvature of the Gaussian part of the action."""
         if m not in self._curv_cache:
             self._curv_cache[m] = (self._pair_factor * self.grid.volume
                                    * (m**2 + self._nsq_dof))
         return self._curv_cache[m]
+
+    def gauss_curvature(self, m):
+        """The curvature in pack order: dofs * gauss_curvature(m) is the
+        gradient of the Gaussian part."""
+        key = ("block", m)
+        if key not in self._curv_cache:
+            self._curv_cache[key] = (self._pair_factor * self.grid.volume
+                                     * (m**2 + self._nsq_block))
+        return self._curv_cache[key]
 
     # -- packing -----------------------------------------------------------
     def pack(self, coeffs):
@@ -263,7 +272,7 @@ def _action_and_gradient(spec, dofs, want_gradient=True):
     and grad packed per dof (or None).  One padded transform pair serves
     both the quartic integral and the cubic gradient term."""
     lay = _layout(spec.grid, spec.field_type)
-    curv = lay.curvature(spec.m)
+    curv = lay.gauss_curvature(spec.m)
     quart, cubic = _wick_quartic(spec, lay.to_grid(dofs), want_gradient)
     s = 0.5 * np.sum(curv * dofs * dofs, axis=-1) \
         + spec.q * (spec.grid.L / lay.plan.P) ** 2 * quart

@@ -8,7 +8,6 @@ from wickwaves.phi4 import (
     COMPLEX_FIELD,
     MeasureSpec,
     _action_and_gradient,
-    _layout,
     action,
     action_gradient,
     hmc_step,
@@ -118,18 +117,6 @@ def test_dofs_action_and_gradient_match_full_lattice(field, batch):
     assert np.shape(s) == np.shape(s_ref) and g.shape == dofs.shape
     assert np.max(np.abs(s - s_ref)) < 1e-12 * np.max(np.abs(s_ref))
     assert np.max(np.abs(g - g_ref)) < 1e-12 * np.max(np.abs(g_ref))
-
-
-@pytest.mark.parametrize("field", [None, COMPLEX_FIELD])
-def test_curvature_is_the_free_gradient(field):
-    """curvature(m) * dofs is the lambda = 0 gradient, dof by dof, so the
-    HMC mass and the MALA preconditioner act on the right modes."""
-    spec = _spec(TorusGrid(2.0, 32, 3.0), lam=0.0, field=field)
-    c = init_chain(spec, RngStream(13, 0), batch=2).coeffs()
-    curv = _layout(spec.grid, spec.field_type).curvature(spec.m)
-    grad = action_gradient(c, spec)
-    assert np.max(np.abs(curv * pack_dofs(spec, c) - grad)) \
-        < 1e-12 * np.max(np.abs(grad))
 
 
 def test_quartic_integral_constant_field(tiny_grid):
