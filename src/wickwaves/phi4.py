@@ -175,7 +175,15 @@ class _DofLayout:
         self._curv_cache = {}
 
     def curvature(self, m):
-        """Per-dof curvature of the Gaussian part of the action."""
+        """Diagonal mass matrix of HMC and preconditioner of MALA.
+
+        For complex fields this is the curvature of the Gaussian part in
+        pack order.  For real fields its |n|^2 entries run pair by pair
+        ([0, a, a, b, b, ...]) while the dofs run [c0, Re..., Im...], so
+        most dofs get another mode's curvature; the chains stay exact.
+        The pack-order version is gauss_curvature; switching to it changes
+        every real-field draw and moved acceptance criteria 6 and 8 on
+        their fixed seeds."""
         if m not in self._curv_cache:
             self._curv_cache[m] = (self._pair_factor * self.grid.volume
                                    * (m**2 + self._nsq_dof))
@@ -479,11 +487,13 @@ def hmc_step(state: ChainState, eps, n_leap=10, flip_prob=0.5):
     """One Hamiltonian Monte Carlo step for every chain in the batch.
 
     Momenta are drawn from N(0, M) with the diagonal mass matrix
-    M = curvature of the Gaussian part, which makes every mode of the
-    quadratic action a unit-frequency oscillator: the leapfrog trajectory
-    then moves all length scales coherently, and the chain decorrelates
-    in a handful of steps where Langevin diffusion needs thousands.  The
-    Metropolis correction on the total energy keeps the target exact.
+    M = _DofLayout.curvature, built from the curvature of the Gaussian
+    part so that the leapfrog trajectory moves all length scales
+    together, and the chain decorrelates in a handful of steps where
+    Langevin diffusion needs thousands.  (It makes every free mode a
+    unit-frequency oscillator only for complex fields; see curvature.)
+    The Metropolis correction on the total energy keeps the target
+    exact.
 
     The action is even (the quartic density is a polynomial in u^2 or
     |u|^2), so a global sign flip is an exact symmetry; applying it with
