@@ -257,14 +257,22 @@ class SpectralPlan:
     """
 
     def __init__(self, grid, real, degree):
-        self.grid, self.real, self.kmax = grid, real, grid.kmax
+        kmax = grid.kmax
+        self.grid, self.real, self.kmax = grid, real, kmax
         self.nk = grid.nk
-        self.P = int(sfft.next_fast_len(max((degree + 1) * grid.kmax + 2, 4)))
-        self.ncols = grid.kmax + 1 if real else self.nk
-        self.rows = np.arange(-grid.kmax, grid.kmax + 1) % self.P
+        self.P = P = int(sfft.next_fast_len(max((degree + 1) * kmax + 2, 4)))
+        self.ncols = kmax + 1 if real else self.nk
+        self.rows = np.arange(-kmax, kmax + 1) % P
+        # the padded spectrum: P rows by P // 2 + 1 (what irfft reads) or
+        # P columns; the stored columns sit at `cols`, inside `col_slices`
+        self.width = P // 2 + 1 if real else P
+        self.cols = np.arange(kmax + 1) if real else self.rows
+        self.col_slices = ((slice(0, kmax + 1),) if real else
+                           (slice(0, kmax + 1), slice(P - kmax, P)))
         self.ball = grid.ball_mask()
         # a cached plan is shared by every caller
-        self.rows.flags.writeable = self.ball.flags.writeable = False
+        for arr in (self.rows, self.cols, self.ball):
+            arr.flags.writeable = False
 
     def index(self, k1, k2):
         """Flat positions of modes (k1, k2) in the stored spectrum; a real
@@ -286,6 +294,15 @@ class SpectralPlan:
         return np.concatenate((np.conj(stored[..., ::-1, :0:-1]), col0,
                                stored[..., 1:]), axis=-1)
 
+    def _column_pass(self, transform, spec):
+        """The pass along axis -2, over the stored columns only, in place
+        (scipy writes a strided view in place when asked to overwrite)."""
+        for sl in self.col_slices:
+            view = spec[..., sl]
+            out = transform(view, axis=-2, norm="forward", overwrite_x=True)
+            if not np.shares_memory(out, view):
+                view[...] = out
+
     def to_grid(self, values, parts=None):
         """Samples on the P x P grid (real-valued for a real plan).
 
@@ -293,41 +310,30 @@ class SpectralPlan:
         real numbers (..., n) placed at those positions of the stored
         spectrum read as float64 pairs: the real part of entry j at 2j,
         its imaginary part at 2j + 1."""
-        # irfft reads P // 2 + 1 columns, of which only the stored ones are
-        # nonzero: the first pass transforms those, in place when scipy can
-        width = self.P // 2 + 1 if self.real else self.ncols
         lead = values.shape[:-2] if parts is None else values.shape[:-1]
-        buf = np.zeros(lead + (self.P, width), dtype=np.complex128)
+        buf = np.zeros(lead + (self.P, self.width), dtype=np.complex128)
         if parts is None:
-            buf[..., self.rows, :self.ncols] = self.stored(values)
+            buf[..., self.rows[:, None], self.cols] = self.stored(values)
         else:
             entry, col = np.divmod(parts // 2, self.ncols)
-            padded = 2 * (self.rows[entry] * width + col) + parts % 2
+            padded = 2 * (self.rows[entry] * self.width + self.cols[col]) \
+                + parts % 2
             buf.reshape(lead + (-1,)).view(np.float64)[..., padded] = values
-        if not self.real:
-            buf = sfft.ifft(buf, axis=-2, norm="forward", overwrite_x=True)
-            big = np.zeros(lead + (self.P, self.P), dtype=np.complex128)
-            big[..., self.rows] = buf
-            return sfft.ifft(big, axis=-1, norm="forward", overwrite_x=True)
-        head = buf[..., :self.ncols]
-        out = sfft.ifft(head, axis=-2, norm="forward", overwrite_x=True)
-        if not np.shares_memory(out, buf):
-            head[...] = out
-        return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
-                          overwrite_x=True)
+        self._column_pass(sfft.ifft, buf)
+        if self.real:
+            return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
+                              overwrite_x=True)
+        return sfft.ifft(buf, axis=-1, norm="forward", overwrite_x=True)
 
     def from_grid(self, samples, parts=None, radius=None):
         """Centred band coefficients (..., nk, nk) of P x P samples, zero
         outside |n| <= radius (default: the cutoff K); with `parts`, the
         float64 parts (..., n) at those positions of the stored spectrum
         instead (see to_grid)."""
-        if self.real:
-            spec = sfft.rfft(samples, axis=-1, norm="forward")
-            spec = spec[..., :self.ncols]
-        else:
-            spec = sfft.fft(samples, axis=-1, norm="forward")[..., self.rows]
-        spec = sfft.fft(spec, axis=-2, norm="forward", overwrite_x=True)
-        band = spec[..., self.rows, :]
+        row_pass = sfft.rfft if self.real else sfft.fft
+        spec = row_pass(samples, axis=-1, norm="forward")
+        self._column_pass(sfft.fft, spec)
+        band = spec[..., self.rows[:, None], self.cols]
         if parts is not None:
             flat = np.ascontiguousarray(band).reshape(band.shape[:-2] + (-1,))
             return flat.view(np.float64)[..., parts]
