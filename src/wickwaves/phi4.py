@@ -127,8 +127,9 @@ class _DofLayout:
             n = len(self.half_flat)
             self.dim = 1 + 2 * n
             nsq_half = omega_sq.ravel()[self.half_flat]
-            # |n|^2 per dof; the Gaussian curvature is volume*(m^2+|n|^2)
-            # times 2 for conjugate-pair dofs
+            # |n|^2 per dof, pair by pair for the mass matrix (see
+            # curvature) and in pack order for the gradient; the Gaussian
+            # curvature is volume*(m^2+|n|^2), times 2 for pair dofs
             self._nsq_dof = np.concatenate(([0.0], np.repeat(nsq_half, 2)))
             self._nsq_block = np.concatenate(([0.0], nsq_half, nsq_half))
             self._pair_factor = np.concatenate(([1.0], np.full(2 * n, 2.0)))
@@ -228,7 +229,8 @@ class _DofLayout:
 
     def grad_spectrum(self, samples):
         """Band spectrum of padded samples, packed like the dofs and
-        weighted as a gradient: volume times the pair factor."""
+        weighted as a gradient: volume times the pair factor, with the
+        imaginary part negated where a mode is read at -k."""
         return self._grad_weight * self.plan.from_grid(samples,
                                                        self._grad_parts)
 
