@@ -1,9 +1,13 @@
 """Weighted and periodic Besov norms, plus randomized inequality audits.
 
 Norm: ||f||_{B^s_{p,r}(w)} = || 2^{ks} ||w * Delta_k f||_{L^p} ||_{l^r},
-with the inner L^p over the torus window (rectangle rule, exact for
-band-limited integrands) and the weighted-L^p convention
-||f||_{L^p(w)} = ||w f||_{L^p}.
+with the weighted-L^p convention ||f||_{L^p(w)} = ||w f||_{L^p} and the
+inner L^p over the torus window.  Flat p = 2 block norms are exact by
+Parseval, L (sum sigma_k^2 |c|^2)^(1/2).  Every other inner norm is the
+rectangle rule (exact for band-limited integrands) on samples from the
+spectral plan on the M x M grid, real when the coefficients are exactly
+Hermitian.  Its points x = j L / M are the centred grid's rolled by M/2,
+so the weight is rolled to match and sup norms keep their sample points.
 
 Polynomial weights are rho(x) = (1 + |x|^2)^(-alpha/2).  The norm of the
 periodic extension over the whole plane is computed by summing rho^p over
@@ -13,19 +17,18 @@ window translates until the tail falls below 1e-12 of the total.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import LPPartition, lp_block_array, to_physical_array
+from .torus import (LPPartition, grid_plan, is_hermitian, lp_multiplier,
+                    to_physical_array)
 
 FLAT = "flat_on_torus"
 POLY = "polynomial_decay"
-
-_weight_cache: dict = {}
-_weight_lock = threading.Lock()
+_MAX_TRANSLATES = 20000     # cap on the periodic-extension tail sum's reach
 
 
 @dataclass(frozen=True)
@@ -67,41 +70,47 @@ class BesovParams:
                 raise ValueError("integrability indices must lie in [1, inf]")
 
 
+@functools.lru_cache(maxsize=32)
 def _effective_weight(grid, w: WeightSpec, p, periodic_extension):
-    """Weight array for the inner L^p norm.
+    """Weight array on the centred grid for the inner L^p norm (cached,
+    read-only: every later norm shares it).
 
     With periodic_extension the polynomial weight is accumulated over
     window translates x + j*L (the field has period L), which computes the
     plane-wide L^p norm of the periodic extension.
     """
-    if w.mode == FLAT or not periodic_extension:
-        return w.values(grid)
-    x1, x2 = grid.grid_x()
-    L = grid.L
-    if np.isinf(p):
-        # sup over translates is attained on the centered window
-        return w.values(grid)
-    key = (grid, w.alpha, p)
-    with _weight_lock:
-        if key in _weight_cache:
-            return _weight_cache[key]
-    q = w.alpha * p / 2.0
+    if w.mode == FLAT or not periodic_extension or np.isinf(p):
+        # for p = inf the sup over translates is attained on the window
+        out = w.values(grid)
+    else:
+        out = _translate_sum(grid, w.alpha * p / 2.0) ** (1.0 / p)
+    out.flags.writeable = False
+    return out
+
+
+def _translate_sum(grid, q):
+    """sum_j (1 + |x + j L|^2)^(-q) over the lattice of translates."""
     if q <= 1.0:
         raise ValueError("rho^p is not summable over translates; "
                          "increase alpha")
+    L = grid.L
     # Exact sum over near translates, second-order Taylor tail beyond:
     # (1+|x+t|^2)^-q = (1+|t|^2)^-q (1+e)^-q with
     # e = (2 t.x + |x|^2)/(1+|t|^2); odd terms cancel by lattice symmetry.
     # The truncation error is O((J0*L)^(-2q-1)), far below the 1e-12 tail
-    # target for J0 = 10.
+    # target for J0 = 10.  The tail sum runs out to |t| ~ 10^reach.
     J0 = 10
+    reach = 13.0 / (2 * q - 2)
+    if reach >= np.log10((_MAX_TRANSLATES - J0) * L):
+        raise ValueError("rho^p decays too slowly to sum within %d "
+                         "translates; increase alpha" % _MAX_TRANSLATES)
+    x1, x2 = grid.grid_x()
     js = np.arange(-J0, J0 + 1)
     total = np.zeros((grid.M, grid.M))
     for j1 in js:
         for j2 in js:
             total += (1.0 + (x1 + j1 * L) ** 2 + (x2 + j2 * L) ** 2) ** (-q)
-    Jbig = max(int(np.ceil(10.0 ** (13.0 / (2 * q - 2)) / L)) + J0, 2 * J0)
-    Jbig = min(Jbig, 20000)
+    Jbig = max(int(np.ceil(10.0 ** reach / L)) + J0, 2 * J0)
     jf = np.arange(-Jbig, Jbig + 1)
     t1, t2 = np.meshgrid(jf * L, jf * L, indexing="ij")
     far = np.maximum(np.abs(jf[:, None]), np.abs(jf[None, :])) > J0
@@ -115,11 +124,7 @@ def _effective_weight(grid, w: WeightSpec, p, periodic_extension):
     # Sum_t (t.x)^2 g(t) = M1 |x|^2 by lattice symmetry (isotropic moments)
     tail = (A - q * B1 * xsq
             + 0.5 * q * (q + 1) * (4.0 * M1 * xsq + C2 * xsq**2))
-    total = total + np.maximum(tail, 0.0)
-    out = total ** (1.0 / p)
-    with _weight_lock:
-        _weight_cache[key] = out
-    return out
+    return total + np.maximum(tail, 0.0)
 
 
 def weighted_lp(grid, samples, p, weight):
@@ -134,14 +139,20 @@ def besov_norm_array(grid, coeffs, params: BesovParams, w: WeightSpec,
                      part=None, periodic_extension=False):
     """Batched Besov norm of coefficient arrays (..., nk, nk)."""
     part = part or LPPartition(grid.K)
-    weight = _effective_weight(grid, w, params.p, periodic_extension)
-    block_norms = []
-    for k in part.blocks():
-        bc = lp_block_array(grid, coeffs, k, part)
-        u = to_physical_array(grid, bc)
-        block_norms.append(2.0 ** (k * params.s)
-                           * weighted_lp(grid, u, params.p, weight))
-    vals = np.stack(block_norms, axis=0)
+    coeffs = np.asarray(coeffs)
+    sigmas = [lp_multiplier(grid, part, k) for k in part.blocks()]
+    if w.mode == FLAT and params.p == 2:
+        power = np.abs(coeffs) ** 2
+        norms = [grid.L * np.sqrt(np.sum(sig**2 * power, axis=(-2, -1)))
+                 for sig in sigmas]
+    else:
+        plan = grid_plan(grid, is_hermitian(coeffs))
+        weight = _effective_weight(grid, w, params.p, periodic_extension)
+        weight = np.roll(weight, grid.M // 2, axis=(0, 1))
+        norms = [weighted_lp(grid, plan.to_grid(coeffs * sig), params.p,
+                             weight) for sig in sigmas]
+    vals = np.stack([2.0 ** (k * params.s) * n
+                     for k, n in zip(part.blocks(), norms)], axis=0)
     if np.isinf(params.r):
         return np.max(vals, axis=0)
     return np.sum(vals**params.r, axis=0) ** (1.0 / params.r)

@@ -19,6 +19,9 @@ Coefficients are stored on the centered square ``k in [-kmax, kmax]^2``
 with ``kmax = floor(K*L)``; index ``(i, j)`` holds mode
 ``k = (i - kmax, j - kmax)``.  Entries outside the ball ``|k| <= K*L``
 are identically zero.
+
+:class:`SpectralPlan` is the only transform: padded for products
+(:func:`spectral_plan`), or on the M x M grid itself (:func:`grid_plan`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import functools
 import io
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,40 +177,29 @@ def _check_same_grid(f, g):
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms on the M x M grid
+
+def _centring_phase(grid):
+    """(-1)**(k1+k2): moves the plan's points j h to the centred -L/2 + j h."""
+    k = grid.axes_k()
+    return np.where((k[:, None] + k[None, :]) % 2 == 0, 1.0, -1.0)
+
 
 def to_physical_array(grid, coeffs):
-    """Evaluate coefficient arrays (..., nk, nk) on the M x M grid.
-
-    The centering of the grid at -L/2 contributes the exact phase
-    (-1)**(k1+k2) per mode.
-    """
+    """Complex samples of coefficients (..., nk, nk) on the centred grid."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    kmax, M = grid.kmax, grid.M
-    k = grid.axes_k()
-    phase = np.where((k[:, None] + k[None, :]) % 2 == 0, 1.0, -1.0)
-    big = np.zeros(coeffs.shape[:-2] + (M, M), dtype=np.complex128)
-    idx = np.arange(-kmax, kmax + 1) % M
-    big[..., np.ix_(idx, idx)[0], np.ix_(idx, idx)[1]] = coeffs * phase
-    return np.fft.ifft2(big) * M**2
+    return grid_plan(grid, real=False).to_grid(coeffs * _centring_phase(grid))
 
 
 def from_physical_array(grid, samples, real=True):
-    """Inverse of :func:`to_physical_array`; truncates to the active band."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    M, kmax = grid.M, grid.kmax
-    if samples.shape[-2:] != (M, M):
+    """Inverse of :func:`to_physical_array`; truncates to the active band.
+    With `real`, the coefficients are those of `samples.real`."""
+    samples = np.asarray(samples)
+    if samples.shape[-2:] != (grid.M, grid.M):
         raise GridMismatchError("sample array does not match the grid")
-    spec = np.fft.fft2(samples) / M**2
-    idx = np.arange(-kmax, kmax + 1) % M
-    coeffs = spec[..., np.ix_(idx, idx)[0], np.ix_(idx, idx)[1]]
-    k = grid.axes_k()
-    phase = np.where((k[:, None] + k[None, :]) % 2 == 0, 1.0, -1.0)
-    coeffs = coeffs * phase
-    coeffs = np.where(grid.ball_mask(), coeffs, 0.0)
     if real:
-        coeffs = hermitian_symmetrize(coeffs)
-    return coeffs
+        samples = samples.real
+    return grid_plan(grid, real).from_grid(samples) * _centring_phase(grid)
 
 
 def to_physical(f: FourierField):
@@ -231,22 +222,18 @@ def project(f: FourierField, radius):
     return FourierField(f.grid, np.where(mask, f.coeffs, 0.0), f.real)
 
 
-def project_array(grid, coeffs, radius):
-    mask = grid.ball_mask(radius)
-    return np.where(mask, coeffs, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # the spectral plan: alias-free padded transforms
 
 class SpectralPlan:
-    """Alias-free transforms between a grid's stored band and a P x P grid.
+    """Transforms between a grid's stored band and a P x P grid.
 
-    P = next_fast_len((degree + 1) * kmax + 2) exceeds (degree + 1) * kmax,
-    so a product of `degree` band-limited factors truncated back to the
+    Made by :func:`spectral_plan`, whose P exceeds (degree + 1) * kmax, so
+    that a product of `degree` band-limited factors truncated back to the
     band, and the integral of a product of degree + 1 factors, are exact
-    (Orszag 1971).  The padded samples sit at x_j = j L / P; the shift from
-    the centred grid changes no product or integral.
+    (Orszag 1971), or by :func:`grid_plan`, with P = M.  The samples sit at
+    x_j = j L / P; the shift from the centred grid changes no product or
+    integral.
 
     The stored spectrum has shape (..., nk, ncols): the columns k2 >= 0 of
     a real field (its other half is the conjugate), all nk columns of a
@@ -256,11 +243,11 @@ class SpectralPlan:
     scale with norm="forward", so the inverse is the bare Fourier sum.
     """
 
-    def __init__(self, grid, real, degree):
+    def __init__(self, grid, real, P):
         kmax = grid.kmax
         self.grid, self.real, self.kmax = grid, real, kmax
         self.nk = grid.nk
-        self.P = P = int(sfft.next_fast_len(max((degree + 1) * kmax + 2, 4)))
+        self.P = P
         self.ncols = kmax + 1 if real else self.nk
         self.rows = np.arange(-kmax, kmax + 1) % P
         # the padded spectrum: P rows by P // 2 + 1 (what irfft reads) or
@@ -343,8 +330,15 @@ class SpectralPlan:
 
 @functools.lru_cache(maxsize=64)
 def spectral_plan(grid, real=True, degree=3):
-    """The cached plan for products of `degree` factors on `grid`."""
-    return SpectralPlan(grid, real, degree)
+    """The cached alias-free plan for products of `degree` factors."""
+    P = sfft.next_fast_len(max((degree + 1) * grid.kmax + 2, 4))
+    return SpectralPlan(grid, real, int(P))
+
+
+@functools.lru_cache(maxsize=16)
+def grid_plan(grid, real=True):
+    """The cached plan on the grid's own M x M points."""
+    return SpectralPlan(grid, real, grid.M)
 
 
 def dealiased_product_arrays(grid, coeff_list, output_radius=None, real=True):
@@ -438,28 +432,23 @@ class LPPartition:
         return range(-1, self.k_max + 1)
 
 
-_block_cache: dict = {}
-_block_lock = threading.Lock()
-
-
 def lp_multiplier(grid, part, k):
-    """sigma_k evaluated on the grid's mode lattice (cached)."""
-    key = (grid, part.K, k)
-    with _block_lock:
-        if key not in _block_cache:
-            r = np.sqrt(grid.mode_nsq())
-            _block_cache[key] = part.sigma(k, r)
-        return _block_cache[key]
+    """sigma_k evaluated on the grid's mode lattice (cached, read-only)."""
+    return _lp_multiplier(grid, part.K, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _lp_multiplier(grid, K, k):
+    mult = LPPartition(K).sigma(k, np.sqrt(grid.mode_nsq()))
+    # every later norm shares the cached array
+    mult.flags.writeable = False
+    return mult
 
 
 def lp_block(f: FourierField, k, part: LPPartition):
     """Littlewood-Paley block Delta_k f."""
     mult = lp_multiplier(f.grid, part, k)
     return FourierField(f.grid, f.coeffs * mult, f.real)
-
-
-def lp_block_array(grid, coeffs, k, part):
-    return coeffs * lp_multiplier(grid, part, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from wickwaves.besov import (
     BesovParams,
     POLY,
     WeightSpec,
+    _effective_weight,
     besov_norm,
     besov_norm_array,
     check_audit,
@@ -15,7 +16,15 @@ from wickwaves.besov import (
     sobolev_norm_array,
 )
 from wickwaves.gaussian import RngStream, sample_gff_coeffs
-from wickwaves.torus import FourierField, hermitian_symmetrize
+from wickwaves.torus import (
+    FourierField,
+    LPPartition,
+    TorusGrid,
+    from_physical_array,
+    hermitian_symmetrize,
+    lp_multiplier,
+    to_physical_array,
+)
 
 
 def random_field(grid, gen):
@@ -110,3 +119,94 @@ def test_all_audits_within_calibration():
         ok, bound = check_audit(rep, cal)
         assert ok, f"{kind}: ratio {rep.max_ratio} exceeds bound {bound}"
         assert rep.max_ratio > 0.0
+
+
+def _reference_besov(grid, coeffs, params, w, periodic_extension):
+    """Each LP block evaluated on the centred grid by a full complex ifft2,
+    then the same weighted L^p and l^r."""
+    part = LPPartition(grid.K)
+    M = grid.M
+    k = grid.axes_k()
+    phase = (-1.0) ** (k[:, None] + k[None, :])
+    idx = k % M
+    weight = (_effective_weight(grid, w, params.p, True)
+              if periodic_extension else w.values(grid))
+    vals = []
+    for j in part.blocks():
+        big = np.zeros(coeffs.shape[:-2] + (M, M), dtype=complex)
+        big[..., idx[:, None], idx] = (
+            coeffs * part.sigma(j, np.sqrt(grid.mode_nsq())) * phase)
+        wu = np.abs(np.fft.ifft2(big) * M**2) * weight
+        if np.isinf(params.p):
+            norm = np.max(wu, axis=(-2, -1))
+        else:
+            norm = (grid.h**2 * np.sum(wu**params.p, axis=(-2, -1))) \
+                ** (1.0 / params.p)
+        vals.append(2.0 ** (j * params.s) * norm)
+    vals = np.array(vals)
+    if np.isinf(params.r):
+        return np.max(vals, axis=0)
+    return np.sum(vals**params.r, axis=0) ** (1.0 / params.r)
+
+
+@pytest.mark.parametrize("s", [-0.1, -1.1])
+@pytest.mark.parametrize("p, r", [(2, 2), (4, 4), (np.inf, np.inf),
+                                  (2, np.inf)])
+@pytest.mark.parametrize("weight, periodic", [
+    (WeightSpec(), False), (WeightSpec(3.0, POLY), False),
+    (WeightSpec(3.0, POLY), True)])
+@pytest.mark.parametrize("real", [True, False])
+def test_besov_norm_matches_ifft2_reference(medium_grid, gen, s, p, r,
+                                            weight, periodic, real):
+    grid = medium_grid
+    shape = (3, grid.nk, grid.nk)
+    c = np.where(grid.ball_mask(), gen.standard_normal(shape)
+                 + 1j * gen.standard_normal(shape), 0.0)
+    if real:
+        c = hermitian_symmetrize(c)
+    params = BesovParams(s, p, r)
+    got = besov_norm_array(grid, c, params, weight,
+                           periodic_extension=periodic)
+    want = _reference_besov(grid, c, params, weight, periodic)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_cached_weight_and_multiplier_are_read_only(medium_grid):
+    part = LPPartition(medium_grid.K)
+    for arr in (_effective_weight(medium_grid, WeightSpec(3.0, POLY), 2.0,
+                                  True), lp_multiplier(medium_grid, part, 0)):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_periodic_weight_rejects_slow_decay():
+    # alpha = 1.5, p = 2: rho^p is summable, but the 1e-12 tail would need
+    # far more than the translate cap, so the weight must not be built
+    grid = TorusGrid(4.0, 18, 1.0)
+    c = np.zeros((grid.nk, grid.nk), dtype=complex)
+    with pytest.raises(ValueError, match="within 20000 translates"):
+        besov_norm_array(grid, c, BesovParams(-0.1, 2.0, 2.0),
+                         WeightSpec(1.5, POLY), periodic_extension=True)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_physical_array_round_trip_and_point_values(medium_grid, gen, real):
+    grid = medium_grid
+    shape = (3, grid.nk, grid.nk)
+    c = np.where(grid.ball_mask(), gen.standard_normal(shape)
+                 + 1j * gen.standard_normal(shape), 0.0)
+    if real:
+        c = hermitian_symmetrize(c)
+    u = to_physical_array(grid, c)
+    x1, x2 = grid.grid_x()
+    n1, n2 = grid.mode_n()
+    scale = np.max(np.abs(c))
+    for j in [(0, 0), (5, 17), (grid.M - 1, grid.M // 2), (grid.M // 2, 3)]:
+        direct = np.sum(c * np.exp(2j * np.pi * (n1 * x1[j] + n2 * x2[j])),
+                        axis=(-2, -1))
+        assert np.max(np.abs(u[:, j[0], j[1]] - direct)) <= 1e-12 * scale
+    back = from_physical_array(grid, u, real=real)
+    assert np.max(np.abs(back - c)) <= 1e-12 * scale
+    # real=True keeps the coefficients of the real part
+    back_re = from_physical_array(grid, u, real=True)
+    assert np.max(np.abs(back_re - hermitian_symmetrize(c))) <= 1e-12 * scale
