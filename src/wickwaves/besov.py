@@ -128,8 +128,9 @@ def _translate_sum(grid, q):
 
 
 def weighted_lp(grid, samples, p, weight):
-    """Discrete L^p norm over the torus window: (h^2 sum |w u|^p)^(1/p)."""
-    wu = np.abs(samples) * weight
+    """Discrete L^p norm over the torus window: (h^2 sum |w u|^p)^(1/p);
+    weight None is the flat weight."""
+    wu = np.abs(samples) if weight is None else np.abs(samples) * weight
     if np.isinf(p):
         return np.max(wu, axis=(-2, -1))
     return (grid.h**2 * np.sum(wu**p, axis=(-2, -1))) ** (1.0 / p)
@@ -147,8 +148,9 @@ def besov_norm_array(grid, coeffs, params: BesovParams, w: WeightSpec,
                  for sig in sigmas]
     else:
         plan = grid_plan(grid, is_hermitian(coeffs))
-        weight = _effective_weight(grid, w, params.p, periodic_extension)
-        weight = np.roll(weight, grid.M // 2, axis=(0, 1))
+        weight = None if w.mode == FLAT else np.roll(
+            _effective_weight(grid, w, params.p, periodic_extension),
+            grid.M // 2, axis=(0, 1))
         norms = [weighted_lp(grid, plan.to_grid(coeffs * sig), params.p,
                              weight) for sig in sigmas]
     vals = np.stack([2.0 ** (k * params.s) * n

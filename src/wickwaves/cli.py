@@ -57,8 +57,8 @@ KNOWN_KEYS = {
     ) + COMMON_KEYS,
     "evolve-nls": GRID_KEYS + (
         "flow.m", "flow.lambda", "flow.dt", "flow.wick_a", "flow.T",
-        "flow.convention", "flow.substep", "init.modes", "init.k1",
-        "init.k2", "init.amplitude", "n_records",
+        "flow.substep", "init.modes", "init.k1", "init.k2",
+        "init.amplitude", "n_records",
     ) + COMMON_KEYS,
     "besov-norm": GRID_KEYS + (
         "measure.m", "besov.s", "besov.p", "besov.r", "weight.alpha",
@@ -344,7 +344,6 @@ def _cmd_evolve_nls(args):
         cfg.get_float("flow.dt", 0.01),
         (cfg.get_float("flow.wick_a")
          if cfg.get("flow.wick_a") is not None else None),
-        convention=cfg.get_str("flow.convention", "complex_wick"),
         substep=cfg.get_str("flow.substep", "phase"))
     T = cfg.get_float("flow.T", 1.0)
     u = _initial_state(cfg, grid, seed, complex_field=True)

@@ -25,11 +25,15 @@ from . import nlw as nlw_mod
 from .besov import FLAT, POLY, BesovParams, WeightSpec, besov_norm_array
 from .gaussian import (
     RngStream,
+    _hermite_wick,
+    sample_complex_gff_coeffs,
     sample_gff_coeffs,
     sample_white_noise_coeffs,
+    wick_constant_continuum,
 )
 from .io import NumericalGateError
-from .phi4 import COMPLEX_FIELD, REAL_FIELD, MeasureSpec, run_chain
+from .phi4 import (COMPLEX_FIELD, REAL_FIELD, MeasureSpec, quartic_integral,
+                   run_chain)
 from .stats import energy_distance, ks_two_sample, ks_uniformity, mann_kendall
 from .torus import TorusGrid, chi_plateau, from_physical_array, spectral_plan
 
@@ -87,29 +91,19 @@ class Observable:
 def _wick_moment(ctx, u, degree):
     """int :u^degree: dx with the measure's own constant (real fields) or
     the modulus-based normal ordering (complex fields)."""
-    grid, a = ctx.grid, ctx.wick_a
-    plan = spectral_plan(grid, ctx.field_type == REAL_FIELD)
+    real = ctx.field_type == REAL_FIELD
+    if degree not in ((2, 3, 4) if real else (2, 4)):
+        raise ValueError("wick degree must be 2, 3 or 4 (real fields) or "
+                         "2 or 4 (complex fields)")
+    if degree == 4:
+        return quartic_integral(ctx.measure_spec(), u)
+    plan = spectral_plan(ctx.grid, real)
     z = plan.to_grid(u)
-    cell = (grid.L / plan.P) ** 2
-    if ctx.field_type == REAL_FIELD:
-        z2 = z * z
-        if degree == 2:
-            dens = z2 - a
-        elif degree == 3:
-            dens = z * (z2 - 3.0 * a)
-        elif degree == 4:
-            dens = z2 * (z2 - 6.0 * a) + 3.0 * a * a
-        else:
-            raise ValueError("wick degree must be 2, 3, or 4")
+    if real:
+        dens = _hermite_wick(z, degree, ctx.wick_a)
     else:
-        zsq = z.real * z.real + z.imag * z.imag
-        if degree == 2:
-            dens = zsq - a
-        elif degree == 4:
-            dens = zsq * (zsq - 4.0 * a) + 2.0 * a * a
-        else:
-            raise ValueError("complex wick degree must be 2 or 4")
-    return np.sum(dens, axis=(-2, -1)) * cell
+        dens = z.real * z.real + z.imag * z.imag - ctx.wick_a
+    return np.sum(dens, axis=(-2, -1)) * (ctx.grid.L / plan.P) ** 2
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,8 @@ class FlowContext:
             osq = self.m**2 + self.grid.mode_nsq()
             quad = self.grid.volume * np.sum(osq * np.abs(u) ** 2,
                                              axis=(-2, -1))
-            return quad + 0.5 * self.lam * _wick_moment(self, u, 4)
+            return quad + 0.5 * self.lam * quartic_integral(
+                self.measure_spec(), u)
         cfg = nlw_mod.NlwConfig(self.m, self.lam, 1.0, self.wick_a)
         return nlw_mod.hamiltonian(nlw_mod.WaveState(self.grid, u, ut), cfg)
 
@@ -241,50 +236,39 @@ def sample_initial_ensemble(spec: MeasureSpec, n, rng: RngStream, dt=None,
 
 def _sample_gaussian_ensemble(grid, m, n, rng, complex_field=False):
     if complex_field:
-        from .gaussian import sample_complex_gff_coeffs
         return sample_complex_gff_coeffs(grid, m, rng.child(0), size=n), None
     u = sample_gff_coeffs(grid, m, rng.child(0), size=n)
     ut = sample_white_noise_coeffs(grid, rng.child(1), size=n)
     return u, ut
 
 
-def _evolve_wave(grid, u, ut, cfg, T, chunk=256, drift_gate=1e-3):
-    """Batched Strang evolution with an energy-drift abort gate."""
-    n = u.shape[0]
-    out_u = np.empty_like(u)
-    out_ut = np.empty_like(ut)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        st = nlw_mod.WaveState(grid, u[lo:hi], ut[lo:hi])
-        h0 = nlw_mod.hamiltonian(st, cfg)
-        st = nlw_mod.evolve(st, cfg, T)
-        h1 = nlw_mod.hamiltonian(st, cfg)
-        drift = float(np.max(np.abs(h1 - h0) / np.maximum(np.abs(h0), 1e-12)))
-        if drift > drift_gate:
+def _evolve_gated(grid, cfg, T, u, ut=None, chunk=256):
+    """Evolve (u, ut) by NLW, or u alone (ut None) by NLS, to T chunk by
+    chunk; abort when a chunk's relative drift of the energy (NLW, gate
+    1e-3) or the mass (NLS, gate 1e-6) passes its gate."""
+    wave = ut is not None
+    flow, what, gate = ((nlw_mod, "energy", 1e-3) if wave
+                        else (nls_mod, "mass", 1e-6))
+
+    def conserved(st):
+        return nlw_mod.hamiltonian(st, cfg) if wave else nls_mod.mass(st)
+    out_u, out_ut = np.empty_like(u), (np.empty_like(ut) if wave else None)
+    for lo in range(0, u.shape[0], chunk):
+        sl = slice(lo, lo + chunk)
+        st = (nlw_mod.WaveState(grid, u[sl], ut[sl]) if wave
+              else nls_mod.NlsState(grid, u[sl]))
+        c0 = conserved(st)
+        st = flow.evolve(st, cfg, T)
+        drift = float(np.max(np.abs(conserved(st) - c0)
+                             / np.maximum(np.abs(c0), 1e-12)))
+        if drift > gate:
             raise NumericalGateError(
-                "integrator instability: relative energy drift %.3e exceeds "
-                "gate %.1e; reduce dt" % (drift, drift_gate))
-        out_u[lo:hi] = st.u
-        out_ut[lo:hi] = st.ut
+                "integrator instability: relative %s drift %.3e exceeds "
+                "gate %.1e; reduce dt" % (what, drift, gate))
+        out_u[sl] = st.u
+        if wave:
+            out_ut[sl] = st.ut
     return out_u, out_ut
-
-
-def _evolve_nls(grid, u, cfg, T, chunk=256, mass_gate=1e-6):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        st = nls_mod.NlsState(grid, u[lo:hi])
-        m0 = nls_mod.mass(st)
-        st = nls_mod.evolve(st, cfg, T)
-        drift = float(np.max(np.abs(nls_mod.mass(st) - m0)
-                             / np.maximum(m0, 1e-12)))
-        if drift > mass_gate:
-            raise NumericalGateError(
-                "integrator instability: relative mass drift %.3e exceeds "
-                "gate %.1e; reduce dt" % (drift, mass_gate))
-        out[lo:hi] = st.u
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +325,6 @@ def invariance_experiment(grid, flow, T, n, rng: RngStream, m=1.0, lam=1.0,
     if n % 2:
         raise ValueError("ensemble size n must be even (independent halves)")
     if wick_a is None:
-        from .gaussian import wick_constant_continuum
         wick_a = wick_constant_continuum(grid.K, m)
     ctx = FlowContext(grid, m, lam if flow != "linear" else 0.0, wick_a,
                       flow, quartic_coeff)
@@ -365,24 +348,18 @@ def invariance_experiment(grid, flow, T, n, rng: RngStream, m=1.0, lam=1.0,
     # --- split halves: observables at t=0 from the first half,
     #     at t=T from the evolved second half (independent samples)
     half = n // 2
-    u0, uT_in = u[:half], u[half:]
+    u0, uT = u[:half], u[half:]
+    ut0 = utT = None
+    dt = dt if dt is not None else 0.01
     if flow == "nls":
-        ut0 = utT = None
-        cfg = nls_mod.NlsConfig(m, lam, dt if dt is not None else 0.01,
-                                wick_a, substep=nls_mod.MIDPOINT_SUBSTEP)
-        if T > 0:
-            uT = _evolve_nls(grid, uT_in, cfg, T, chunk)
-        else:
-            uT = uT_in
+        cfg = nls_mod.NlsConfig(m, lam, dt, wick_a,
+                                substep=nls_mod.MIDPOINT_SUBSTEP)
     else:
-        ut0, utT_in = ut[:half], ut[half:]
-        flow_lam = 0.0 if flow == "linear" else lam
-        cfg = nlw_mod.NlwConfig(m, flow_lam, dt if dt is not None else 0.01,
+        ut0, utT = ut[:half], ut[half:]
+        cfg = nlw_mod.NlwConfig(m, 0.0 if flow == "linear" else lam, dt,
                                 wick_a)
-        if T > 0:
-            uT, utT = _evolve_wave(grid, uT_in, utT_in, cfg, T, chunk)
-        else:
-            uT, utT = uT_in, utT_in
+    if T > 0:
+        uT, utT = _evolve_gated(grid, cfg, T, uT, utT, chunk)
 
     # --- tests
     rows = []
@@ -443,7 +420,6 @@ def volume_stabilization_study(L_list, K, T, n, rng: RngStream, m=1.0,
     per_l = {}
     for i, L in enumerate(L_list):
         grid = _grid_for(L, K)
-        from .gaussian import wick_constant_continuum
         a = wick_constant_continuum(K, m)
         ctx = FlowContext(grid, m, lam, a, "nlw")
         obs = [ob for ob in default_observables(ctx, support_radius=d)
@@ -459,7 +435,7 @@ def volume_stabilization_study(L_list, K, T, n, rng: RngStream, m=1.0,
             u, ut = ens.u, ens.ut
         half = n // 2
         cfg = nlw_mod.NlwConfig(m, lam, dt, a)
-        uT, utT = _evolve_wave(grid, u[half:], ut[half:], cfg, T, chunk)
+        uT, utT = _evolve_gated(grid, cfg, T, u[half:], ut[half:], chunk)
         x0 = np.column_stack([np.asarray(ob.evaluate(ctx, u[:half],
                                                      ut[:half]), float)
                               for ob in obs])
@@ -500,7 +476,6 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
     ceil(T/tau) * P(X > M).  M_grid=None picks quantile-based thresholds
     spanning the bulk and the tail of the sampled distribution.
     """
-    from .gaussian import wick_constant_continuum
     a = wick_constant_continuum(grid.K, m)
     times = np.linspace(0.0, 1.0, n_times)
     params = BesovParams(-eps, np.inf, np.inf)
@@ -516,13 +491,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
             wt = nlw_mod.linear_propagate(st, m, float(t))
             z = plan.to_grid(wt.u)
             for j in (1, 2, 3):
-                if j == 1:
-                    dens = z
-                elif j == 2:
-                    dens = z * z - a
-                else:
-                    dens = z * (z * z - 3.0 * a)
-                cj = plan.from_grid(dens)
+                cj = plan.from_grid(_hermite_wick(z, j, a))
                 norms[j - 1, ti] = besov_norm_array(grid, cj, params, w_spec)
         # L^4 in time by the trapezoid rule over [0, 1]
         wts = np.gradient(times)

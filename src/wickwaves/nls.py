@@ -4,12 +4,12 @@ Complex band-limited fields evolve under
 
     i u_t = (m^2 - Lap) u + lam * P_K [ (|u|^2 - c a) u ],
 
-with the counterterm c = 2 for complex normal ordering (the default) and
-c = 3 for the real-field Hermite constant; both choices make the
+with the counterterm c = 2 of complex normal ordering, which makes the
 nonlinear substep a pure pointwise phase rotation, hence exactly
 mass-preserving before re-truncation.  The linear propagator is the
 unitary multiplier e^{-i t (m^2 + |n|^2)} (the m^2 phase is a global
-gauge and moves no modulus-based diagnostic).
+gauge and moves no modulus-based diagnostic).  `evolve` runs
+`split_step` on the time loop shared with NLW (`_timeloop`).
 
 The invariant measure candidate is the complex free field tilted by
 exp(-(lam/2) int (|u|^4 - 4 a |u|^2 + 2 a^2) dx), the Gibbs measure of
@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _timeloop
 from .besov import BesovParams, WeightSpec, besov_norm_array
 from .gaussian import wick_constant_continuum
 from .torus import FourierField, GridMismatchError, TorusGrid, spectral_plan
 
-
-COMPLEX_WICK = "complex_wick"
-REAL_WICK = "real_wick"
 
 PHASE_SUBSTEP = "phase"
 MIDPOINT_SUBSTEP = "midpoint"
@@ -60,7 +58,6 @@ class NlsConfig:
     lam: float = 0.0
     dt: float = 0.01
     wick_a: float = None
-    convention: str = COMPLEX_WICK
     substep: str = PHASE_SUBSTEP
 
     def __post_init__(self):
@@ -68,8 +65,6 @@ class NlsConfig:
             raise ValueError("mass m must be positive")
         if self.dt <= 0:
             raise ValueError("step size dt must be positive")
-        if self.convention not in (COMPLEX_WICK, REAL_WICK):
-            raise ValueError("convention must be complex_wick or real_wick")
         if self.substep not in (PHASE_SUBSTEP, MIDPOINT_SUBSTEP):
             raise ValueError("substep must be 'phase' or 'midpoint'")
 
@@ -77,10 +72,6 @@ class NlsConfig:
         if self.wick_a is not None:
             return self.wick_a
         return wick_constant_continuum(grid.K, self.m)
-
-    @property
-    def counterterm_multiple(self):
-        return 2.0 if self.convention == COMPLEX_WICK else 3.0
 
 
 def nls_linear_propagate(state: NlsState, m, t):
@@ -95,30 +86,29 @@ def mass(state: NlsState):
     return state.grid.volume * np.sum(np.abs(state.u) ** 2, axis=(-2, -1))
 
 
-def _phase_kick(grid, coeffs, lam, tau, a, c_mult):
+def _phase_kick(grid, coeffs, lam, tau, a):
     """Exact flow of the nonlinear substep: pointwise phase rotation
-    u <- u exp(-i lam tau (|u|^2 - c a)), evaluated alias-free and then
+    u <- u exp(-i lam tau (|u|^2 - 2 a)), evaluated alias-free and then
     re-truncated to the active band."""
     plan = spectral_plan(grid, real=False)
     z = plan.to_grid(coeffs)
     zsq = z.real * z.real + z.imag * z.imag
-    return plan.from_grid(z * np.exp(-1j * lam * tau * (zsq - c_mult * a)))
+    return plan.from_grid(z * np.exp(-1j * lam * tau * (zsq - 2.0 * a)))
 
 
-def _projected_cubic(grid, coeffs, a, c_mult):
-    """P_K[(|u|^2 - c a) u], alias-free; the gradient of the truncated
+def _projected_cubic(grid, coeffs, a):
+    """P_K[(|u|^2 - 2 a) u], alias-free; the gradient of the truncated
     quartic Hamiltonian."""
     plan = spectral_plan(grid, real=False)
     z = plan.to_grid(coeffs)
     zsq = z.real * z.real + z.imag * z.imag
-    return plan.from_grid((zsq - c_mult * a) * z)
+    return plan.from_grid((zsq - 2.0 * a) * z)
 
 
-def _midpoint_kick(grid, coeffs, lam, tau, a, c_mult, tol=1e-13,
-                   max_iter=20):
+def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=20):
     """Implicit-midpoint flow of the truncated quartic Hamiltonian:
 
-        u' = u - i lam tau P_K[(|w|^2 - c a) w],  w = (u + u')/2.
+        u' = u - i lam tau P_K[(|w|^2 - 2 a) w],  w = (u + u')/2.
 
     Symplectic, time-reversible, and exactly mass-conserving at the fixed
     point (the projected cubic pairs to a real number against w), so the
@@ -131,7 +121,7 @@ def _midpoint_kick(grid, coeffs, lam, tau, a, c_mult, tol=1e-13,
     new = coeffs
     for _ in range(max_iter):
         mid = 0.5 * (coeffs + new)
-        nxt = coeffs - 1j * lam * tau * _projected_cubic(grid, mid, a, c_mult)
+        nxt = coeffs - 1j * lam * tau * _projected_cubic(grid, mid, a)
         delta = math.sqrt(float(np.max(np.sum(np.abs(nxt - new) ** 2,
                                               axis=(-2, -1)))))
         new = nxt
@@ -157,32 +147,19 @@ def split_step(state: NlsState, cfg: NlsConfig, dt=None):
         a = cfg.a(grid)
         kick = (_phase_kick if cfg.substep == PHASE_SUBSTEP
                 else _midpoint_kick)
-        u = kick(grid, u, cfg.lam, 0.5 * dt, a, cfg.counterterm_multiple)
+        u = kick(grid, u, cfg.lam, 0.5 * dt, a)
     u = np.where(grid.ball_mask(),
                  np.exp(-1j * dt * (cfg.m**2 + grid.mode_nsq())) * u, 0.0)
     if cfg.lam != 0.0:
-        u = kick(grid, u, cfg.lam, 0.5 * dt, a, cfg.counterterm_multiple)
+        u = kick(grid, u, cfg.lam, 0.5 * dt, a)
     return NlsState(grid, u)
 
 
 def evolve(state: NlsState, cfg: NlsConfig, t_final, record_times=None):
-    """Fixed-step integration to t_final (last step shortened to land)."""
-    n_full = int(math.floor(t_final / cfg.dt + 1e-12))
-    times = [i * cfg.dt for i in range(n_full + 1)]
-    if times[-1] < t_final - 1e-12 * max(1.0, t_final):
-        times.append(t_final)
-    want = list(record_times) if record_times is not None else []
-    rec = []
-    cur = state
-    while want and want[0] <= 1e-12:
-        rec.append((want.pop(0), cur.copy()))
-    for i in range(1, len(times)):
-        cur = split_step(cur, cfg, dt=times[i] - times[i - 1])
-        while want and want[0] <= times[i] + 1e-12:
-            rec.append((want.pop(0), cur.copy()))
-    if record_times is None:
-        return cur
-    return cur, rec
+    """Integrate to t_final with steps of cfg.dt (last step shortened to
+    land exactly); optionally returns snapshots at the requested times."""
+    return _timeloop.run(lambda st, _, dt: (split_step(st, cfg, dt), None),
+                         state, None, cfg.dt, t_final, record_times)
 
 
 # ---------------------------------------------------------------------------

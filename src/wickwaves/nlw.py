@@ -14,7 +14,9 @@ and conserves
     H = (1/2) int (u_t^2 + |D u|^2 + m^2 u^2) dx
         + (lam/4) int (u^4 - 6 a u^2 + 3 a^2) dx
 
-up to bounded O(dt^2) oscillation.  A Picard solver for the Duhamel
+up to bounded O(dt^2) oscillation.  `evolve` steps on the time loop
+shared with NLS (`_timeloop`) and reuses each closing kick's force as the
+next opening one (first-same-as-last).  A Picard solver for the Duhamel
 fixed point provides an independent local-in-time cross-check.
 """
 
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _timeloop
 from .gaussian import wick_constant_continuum
+from .phi4 import MeasureSpec, quartic_integral
 from .torus import (
     FourierField,
     GridMismatchError,
@@ -105,42 +109,40 @@ def wick_cubic_coeffs(grid, u_coeffs, a):
     return plan.from_grid(z * (z * z - 3.0 * a))
 
 
+def _force(state: WaveState, cfg: NlwConfig):
+    """The Wick cubic force at the state's position (None when lam = 0)."""
+    if cfg.lam == 0.0:
+        return None
+    return wick_cubic_coeffs(state.grid, state.u, cfg.a(state.grid))
+
+
+def _strang(state: WaveState, force, cfg: NlwConfig, dt):
+    """Kick-rotate-kick from the force at the state's position; returns the
+    new state and the force at its position, which the next step's opening
+    kick reuses (first-same-as-last)."""
+    half = 0.5 * dt * cfg.lam
+    if force is not None:
+        state = WaveState(state.grid, state.u, state.ut - half * force)
+    state = linear_propagate(state, cfg.m, dt)
+    force = _force(state, cfg)
+    ut = state.ut if force is None else state.ut - half * force
+    return WaveState(state.grid, state.u, ut), force
+
+
 def strang_step(state: WaveState, cfg: NlwConfig, dt=None):
     """Kick-rotate-kick splitting step; dt overrides cfg.dt and may be
     negative (the splitting is palindromic, so step(-dt) undoes step(dt))."""
-    grid = state.grid
-    if dt is None:
-        dt = cfg.dt
-    half = 0.5 * dt * cfg.lam
-    ut = state.ut
-    if cfg.lam != 0.0:
-        ut = ut - half * wick_cubic_coeffs(grid, state.u, cfg.a(grid))
-    mid = linear_propagate(WaveState(grid, state.u, ut), cfg.m, dt)
-    ut = mid.ut
-    if cfg.lam != 0.0:
-        ut = ut - half * wick_cubic_coeffs(grid, mid.u, cfg.a(grid))
-    return WaveState(grid, mid.u, ut)
+    return _strang(state, _force(state, cfg), cfg,
+                   cfg.dt if dt is None else dt)[0]
 
 
 def evolve(state: WaveState, cfg: NlwConfig, t_final, record_times=None):
-    """Integrate to t_final with fixed steps (last step shortened to land
-    exactly); optionally returns snapshots at the requested times."""
-    n_full = int(math.floor(t_final / cfg.dt + 1e-12))
-    times = [i * cfg.dt for i in range(n_full + 1)]
-    if times[-1] < t_final - 1e-12 * max(1.0, t_final):
-        times.append(t_final)
-    rec = []
-    want = list(record_times) if record_times is not None else []
-    cur = state
-    while want and want[0] <= 1e-12:
-        rec.append((want.pop(0), cur.copy()))
-    for i in range(1, len(times)):
-        cur = strang_step(cur, cfg, dt=times[i] - times[i - 1])
-        while want and want[0] <= times[i] + 1e-12:
-            rec.append((want.pop(0), cur.copy()))
-    if record_times is None:
-        return cur
-    return cur, rec
+    """Integrate to t_final with steps of cfg.dt (last step shortened to
+    land exactly); optionally returns snapshots at the requested times.
+    n steps make n + 1 cubic evaluations."""
+    return _timeloop.run(lambda st, force, dt: _strang(st, force, cfg, dt),
+                         state, _force(state, cfg), cfg.dt, t_final,
+                         record_times)
 
 
 def hamiltonian(state: WaveState, cfg: NlwConfig):
@@ -151,13 +153,8 @@ def hamiltonian(state: WaveState, cfg: NlwConfig):
         np.abs(state.ut) ** 2 + osq * np.abs(state.u) ** 2, axis=(-2, -1))
     if cfg.lam == 0.0:
         return quad
-    a = cfg.a(grid)
-    plan = spectral_plan(grid)
-    z2 = plan.to_grid(state.u)
-    z2 *= z2
-    cell = (grid.L / plan.P) ** 2
-    quart = np.sum(z2 * (z2 - 6.0 * a) + 3.0 * a * a, axis=(-2, -1)) * cell
-    return quad + 0.25 * cfg.lam * quart
+    spec = MeasureSpec(grid, cfg.m, cfg.lam, wick_a=cfg.a(grid))
+    return quad + 0.25 * cfg.lam * quartic_integral(spec, state.u)
 
 
 # ---------------------------------------------------------------------------

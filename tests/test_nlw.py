@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wickwaves.gaussian import RngStream, sample_gff_coeffs
+from wickwaves import nls
+from wickwaves.gaussian import (
+    RngStream,
+    sample_complex_gff_coeffs,
+    sample_gff_coeffs,
+)
 from wickwaves.nlw import (
     NlwConfig,
     WaveState,
@@ -170,9 +175,43 @@ def test_config_validation():
 
 
 def test_evolve_records_times(wave_grid):
-    st = random_state(wave_grid, 10, amp=0.2)
-    cfg = NlwConfig(1.0, 1.0, 0.01, wick_a=0.3)
-    out, snaps = evolve(st, cfg, 0.1, record_times=[0.0, 0.05, 0.1])
-    assert [t for t, _ in snaps] == [0.0, 0.05, 0.1]
-    assert np.max(np.abs(snaps[0][1].u - st.u)) < 1e-14
-    assert np.max(np.abs(snaps[-1][1].u - out.u)) < 1e-12
+    # Each case: flow, t_final, record times, the step sizes evolve must
+    # take, and (label, step count) of each snapshot.  Snapshots and final
+    # states must equal, bit for bit, single steps over those sizes: NLW's
+    # carried force (first-same-as-last) changes no bit, on-grid record
+    # times keep full steps of exactly dt, and an off-grid time splits the
+    # step across it.
+    dt = 0.01
+    nlw_case = (evolve, strang_step, random_state(wave_grid, 10, amp=0.2),
+                NlwConfig(1.0, 1.0, dt, wick_a=0.3), lambda s: (s.u, s.ut))
+    nls_st = nls.NlsState(wave_grid, 0.2 * sample_complex_gff_coeffs(
+        wave_grid, 1.0, RngStream(11, 0)))
+    nls_case = (nls.evolve, nls.split_step, nls_st,
+                nls.NlsConfig(1.0, 1.0, dt, wick_a=0.3,
+                              substep=nls.MIDPOINT_SUBSTEP),
+                lambda s: (s.u,))
+    cases = [
+        (nlw_case, 0.1, [0.0, 0.05, 0.1], [dt] * 10,
+         [(0.0, 0), (0.05, 5), (0.1, 10)]),
+        (nlw_case, 0.1, [0.1, 0.05], [dt] * 10, [(0.05, 5), (0.1, 10)]),
+        (nlw_case, 0.095, [0.055, 0.095],
+         [dt] * 5 + [0.055 - 5 * dt, 6 * dt - 0.055] + [dt] * 3
+         + [0.095 - 9 * dt], [(0.055, 6), (0.095, 11)]),
+        (nls_case, 0.035, [0.03, 0.015],
+         [dt, 0.015 - dt, 2 * dt - 0.015, dt, 0.035 - 3 * dt],
+         [(0.015, 2), (0.03, 4)]),
+    ]
+    for (flow, step, st, cfg, fields), T, times, sizes, want in cases:
+        path = [st]
+        for h in sizes:
+            path.append(step(path[-1], cfg, dt=h))
+        out, snaps = flow(st, cfg, T, record_times=times)
+        assert [t for t, _ in snaps] == [t for t, _ in want]
+        for (_, snap), (_, k) in zip(snaps, want):
+            assert all(map(np.array_equal, fields(snap), fields(path[k])))
+        assert all(map(np.array_equal, fields(out), fields(path[-1])))
+    st, cfg = nlw_case[2], nlw_case[3]
+    with pytest.raises(ValueError):
+        evolve(st, cfg, 0.1, record_times=[0.05, 0.2])
+    with pytest.raises(ValueError):
+        evolve(st, cfg, -0.1)
