@@ -15,6 +15,12 @@ Layers:
 - harness: measure-invariance experiments, volume stabilization, blow-up
   bookkeeping.
 - cli / io: reproducible command-line experiments and artifacts.
+
+Reproducibility: on a given platform, a seed gives bitwise the same
+results whatever the FFT worker count (the spectral plan runs on every CPU
+the process may use) and however the NLS members are batched (each member
+of an implicit-midpoint kick iterates to its own tolerance).  Across
+changes of a kernel, results are reproducible statistically, not bitwise.
 """
 
 __version__ = "1.0.0"

@@ -4,7 +4,9 @@ Every subcommand reads an optional flat config file (key = value with
 dotted namespaces), applies flag overrides on top, seeds reproducibly,
 and writes JSON/CSV artifacts carrying the config hash.  Exit codes:
 0 success, 2 config error, 3 numerical gate failure, 4 statistical gate
-failure.  WICKWAVES_SEED and WICKWAVES_WORKERS override the defaults.
+failure.  WICKWAVES_SEED overrides the default seed.  The transforms run
+on every CPU the process may use, so CPU affinity (e.g. ``taskset``) sets
+the cores a command uses.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .phi4 import MeasureSpec, run_chain, quartic_integral
 
 
 GRID_KEYS = ("grid.L", "grid.M", "grid.K")
-COMMON_KEYS = ("seed", "workers", "out")
+COMMON_KEYS = ("seed", "out")
 
 KNOWN_KEYS = {
     "wick-constants": ("grid.L", "grid.K", "measure.m") + COMMON_KEYS,
@@ -109,8 +111,6 @@ def _load_config(args, command):
             overrides[key] = v
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out"] = args.out
     cfg = cfg.merged(overrides)
@@ -121,15 +121,6 @@ def _load_config(args, command):
 def _seed(cfg):
     env = _env_int("WICKWAVES_SEED")
     return cfg.get_int("seed", env if env is not None else 20260823)
-
-
-def _workers(cfg):
-    env = _env_int("WICKWAVES_WORKERS")
-    w = cfg.get_int("workers", env if env is not None else
-                    (os.cpu_count() or 1))
-    if w < 1:
-        raise ConfigError("workers must be >= 1")
-    return w
 
 
 def _outdir(cfg):
@@ -285,6 +276,21 @@ def _initial_state(cfg, grid, seed, complex_field=False):
     return u
 
 
+def _flow_config(make, *args, **kwargs):
+    """A flow config; its ValueError is a config error (exit 2)."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
+def _flow_T(cfg):
+    T = cfg.get_float("flow.T", 1.0)
+    if not T >= 0:
+        raise ConfigError("flow.T must be >= 0, got %s" % T)
+    return T
+
+
 def _record_times(T, n_records):
     return list(np.linspace(0.0, T, max(n_records, 2))[1:])
 
@@ -296,10 +302,10 @@ def _cmd_evolve_nlw(args):
     m = cfg.get_float("flow.m", 1.0)
     lam = cfg.get_float("flow.lambda", 0.0)
     dt = cfg.get_float("flow.dt", 0.01)
-    T = cfg.get_float("flow.T", 1.0)
+    T = _flow_T(cfg)
     wick_a = (cfg.get_float("flow.wick_a")
               if cfg.get("flow.wick_a") is not None else None)
-    ncfg = nlw_mod.NlwConfig(m, lam, dt, wick_a)
+    ncfg = _flow_config(nlw_mod.NlwConfig, m, lam, dt, wick_a)
     u = _initial_state(cfg, grid, seed)
     ut = np.zeros_like(u)
     state = nlw_mod.WaveState(grid, u, ut)
@@ -339,13 +345,14 @@ def _cmd_evolve_nls(args):
     cfg = _load_config(args, "evolve-nls")
     grid = _grid(cfg)
     seed = _seed(cfg)
-    ncfg = nls_mod.NlsConfig(
+    ncfg = _flow_config(
+        nls_mod.NlsConfig,
         cfg.get_float("flow.m", 1.0), cfg.get_float("flow.lambda", 0.0),
         cfg.get_float("flow.dt", 0.01),
         (cfg.get_float("flow.wick_a")
          if cfg.get("flow.wick_a") is not None else None),
         substep=cfg.get_str("flow.substep", "phase"))
-    T = cfg.get_float("flow.T", 1.0)
+    T = _flow_T(cfg)
     u = _initial_state(cfg, grid, seed, complex_field=True)
     state = nls_mod.NlsState(grid, u)
     m0 = float(nls_mod.mass(state))
@@ -419,12 +426,11 @@ def _cmd_invariance(args):
         sampler_opts["thinning"] = cfg.get_int("sampler.thinning")
     sr = (cfg.get_float("harness.support_radius")
           if cfg.get("harness.support_radius") is not None else None)
-    with sfft.set_workers(_workers(cfg)):
-        report = invariance_experiment(
-            grid, flow, T, n, RngStream(seed, 0),
-            m=cfg.get_float("measure.m", 1.0), lam=lam, dt=dt,
-            quartic_coeff=qc, support_radius=sr,
-            sampler_opts=sampler_opts or None)
+    report = invariance_experiment(
+        grid, flow, T, n, RngStream(seed, 0),
+        m=cfg.get_float("measure.m", 1.0), lam=lam, dt=dt,
+        quartic_coeff=qc, support_radius=sr,
+        sampler_opts=sampler_opts or None)
     max_frac = cfg.get_float("harness.max_fraction", 0.15)
     alpha = cfg.get_float("harness.uniformity_alpha", 0.005)
     outs = OutputSet()
@@ -472,16 +478,15 @@ def _cmd_volume_study(args):
         sampler_opts["burn_in"] = cfg.get_int("sampler.burn_in")
     if cfg.get("sampler.thinning") is not None:
         sampler_opts["thinning"] = cfg.get_int("sampler.thinning")
-    with sfft.set_workers(_workers(cfg)):
-        report = volume_stabilization_study(
-            l_list, cfg.get_float("grid.K", 2.0), cfg.get_float("flow.T", 0.5),
-            cfg.get_int("harness.n", 400), RngStream(seed, 0),
-            m=cfg.get_float("measure.m", 1.0),
-            lam=cfg.get_float("measure.lambda", 1.0),
-            D=(cfg.get_float("harness.D")
-               if cfg.get("harness.D") is not None else None),
-            dt=cfg.get_float("flow.dt", 0.01),
-            sampler_opts=sampler_opts or None)
+    report = volume_stabilization_study(
+        l_list, cfg.get_float("grid.K", 2.0), cfg.get_float("flow.T", 0.5),
+        cfg.get_int("harness.n", 400), RngStream(seed, 0),
+        m=cfg.get_float("measure.m", 1.0),
+        lam=cfg.get_float("measure.lambda", 1.0),
+        D=(cfg.get_float("harness.D")
+           if cfg.get("harness.D") is not None else None),
+        dt=cfg.get_float("flow.dt", 0.01),
+        sampler_opts=sampler_opts or None)
     outs = OutputSet()
     ok = True
     try:
@@ -530,15 +535,14 @@ def _cmd_blowup_table(args):
         except ValueError:
             raise ConfigError("harness.M_grid must be comma-separated "
                               "numbers or 'auto'")
-    with sfft.set_workers(_workers(cfg)):
-        table = blowup_bookkeeping(
-            grid, m_grid, cfg.get_float("harness.T", 10.0),
-            cfg.get_int("harness.n", 256), RngStream(seed, 0),
-            m=cfg.get_float("measure.m", 1.0),
-            lam=cfg.get_float("measure.lambda", 1.0),
-            C=cfg.get_float("harness.C", 1.0),
-            eps=cfg.get_float("harness.eps", 0.1),
-            weight_alpha=cfg.get_float("weight.alpha", 3.0))
+    table = blowup_bookkeeping(
+        grid, m_grid, cfg.get_float("harness.T", 10.0),
+        cfg.get_int("harness.n", 256), RngStream(seed, 0),
+        m=cfg.get_float("measure.m", 1.0),
+        lam=cfg.get_float("measure.lambda", 1.0),
+        C=cfg.get_float("harness.C", 1.0),
+        eps=cfg.get_float("harness.eps", 0.1),
+        weight_alpha=cfg.get_float("weight.alpha", 3.0))
     outs = OutputSet()
     try:
         outdir = _outdir(cfg)
@@ -624,7 +628,6 @@ def _add_common(sub):
                      metavar="KEY=VALUE",
                      help="override any config key (repeatable)")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
     sub.add_argument("--out", help="output directory")
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import _timeloop
 from .besov import BesovParams, WeightSpec, besov_norm_array
 from .gaussian import wick_constant_continuum
+from .io import NumericalGateError
 from .torus import FourierField, GridMismatchError, TorusGrid, spectral_plan
 
 
@@ -101,11 +102,14 @@ def _projected_cubic(grid, coeffs, a):
     quartic Hamiltonian."""
     plan = spectral_plan(grid, real=False)
     z = plan.to_grid(coeffs)
-    zsq = z.real * z.real + z.imag * z.imag
-    return plan.from_grid((zsq - 2.0 * a) * z)
+    zsq = z.real * z.real
+    zsq += z.imag * z.imag
+    zsq -= 2.0 * a
+    z *= zsq
+    return plan.from_grid(z)
 
 
-def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=20):
+def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=60):
     """Implicit-midpoint flow of the truncated quartic Hamiltonian:
 
         u' = u - i lam tau P_K[(|w|^2 - 2 a) w],  w = (u + u')/2.
@@ -115,19 +119,38 @@ def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=20):
     composed splitting is second order for the truncated system even on
     rough fields.  Fixed-point iteration converges geometrically for
     small lam*tau.
+
+    Each member iterates until its own update is at most `tol` times its
+    own norm, and only the members still iterating are transformed, so a
+    member's result does not depend on the batch around it.  A member not
+    converged after `max_iter` updates raises NumericalGateError.
     """
-    ref = math.sqrt(float(np.max(np.sum(np.abs(coeffs) ** 2,
-                                        axis=(-2, -1))))) + 1e-300
-    new = coeffs
+    u = coeffs.reshape((-1,) + coeffs.shape[-2:])
+    out = np.empty_like(u)
+    bound = tol * tol * _sq_norms(u)
+    live = np.arange(len(u))
+    new = u
     for _ in range(max_iter):
-        mid = 0.5 * (coeffs + new)
-        nxt = coeffs - 1j * lam * tau * _projected_cubic(grid, mid, a)
-        delta = math.sqrt(float(np.max(np.sum(np.abs(nxt - new) ** 2,
-                                              axis=(-2, -1)))))
+        mid = u + new
+        mid *= 0.5
+        nxt = _projected_cubic(grid, mid, a)
+        nxt *= -1j * lam * tau
+        nxt += u
+        done = _sq_norms(nxt - new) <= bound[live]
         new = nxt
-        if delta <= tol * ref:
-            break
-    return new
+        if done.any():
+            out[live[done]] = nxt[done]
+            live, u, new = live[~done], u[~done], nxt[~done]
+            if live.size == 0:
+                return out.reshape(coeffs.shape)
+    raise NumericalGateError(
+        "implicit midpoint kick: %d member(s) not converged to tol %g in "
+        "%d iterations" % (live.size, tol, max_iter))
+
+
+def _sq_norms(c):
+    """Sum of |c|^2 over the last two axes."""
+    return np.sum(c.real * c.real + c.imag * c.imag, axis=(-2, -1))
 
 
 def split_step(state: NlsState, cfg: NlsConfig, dt=None):

@@ -22,12 +22,16 @@ are identically zero.
 
 :class:`SpectralPlan` is the only transform: padded for products
 (:func:`spectral_plan`), or on the M x M grid itself (:func:`grid_plan`).
+It runs on every CPU the process may use (its affinity mask); each 1-D
+transform is computed alike whatever the worker count, so the results do
+not depend on it.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -225,6 +229,11 @@ def project(f: FourierField, radius):
 # ---------------------------------------------------------------------------
 # the spectral plan: alias-free padded transforms
 
+# scipy.fft workers of every plan: the CPUs this process may run on
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
 class SpectralPlan:
     """Transforms between a grid's stored band and a P x P grid.
 
@@ -286,7 +295,8 @@ class SpectralPlan:
         (scipy writes a strided view in place when asked to overwrite)."""
         for sl in self.col_slices:
             view = spec[..., sl]
-            out = transform(view, axis=-2, norm="forward", overwrite_x=True)
+            out = transform(view, axis=-2, norm="forward", overwrite_x=True,
+                            workers=WORKERS)
             if not np.shares_memory(out, view):
                 view[...] = out
 
@@ -309,8 +319,9 @@ class SpectralPlan:
         self._column_pass(sfft.ifft, buf)
         if self.real:
             return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
-                              overwrite_x=True)
-        return sfft.ifft(buf, axis=-1, norm="forward", overwrite_x=True)
+                              overwrite_x=True, workers=WORKERS)
+        return sfft.ifft(buf, axis=-1, norm="forward", overwrite_x=True,
+                         workers=WORKERS)
 
     def from_grid(self, samples, parts=None, radius=None):
         """Centred band coefficients (..., nk, nk) of P x P samples, zero
@@ -318,7 +329,7 @@ class SpectralPlan:
         float64 parts (..., n) at those positions of the stored spectrum
         instead (see to_grid)."""
         row_pass = sfft.rfft if self.real else sfft.fft
-        spec = row_pass(samples, axis=-1, norm="forward")
+        spec = row_pass(samples, axis=-1, norm="forward", workers=WORKERS)
         self._column_pass(sfft.fft, spec)
         band = spec[..., self.rows[:, None], self.cols]
         if parts is not None:

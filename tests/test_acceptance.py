@@ -267,6 +267,7 @@ def test_criterion_05_nlw_integrator():
 # 6. Liouville invariance for NLW, with a negative control
 
 
+@pytest.mark.slow
 def test_criterion_06_nlw_invariance():
     t0 = time.time()
     grid = TorusGrid(4.0, 132, 8.0)
@@ -312,6 +313,7 @@ def test_criterion_07_finite_speed():
 # 8. Increasing-volume stabilization
 
 
+@pytest.mark.slow
 def test_criterion_08_volume_stabilization():
     t0 = time.time()
     rep = volume_stabilization_study(
@@ -338,6 +340,7 @@ def test_criterion_08_volume_stabilization():
 # 9. NLS: unitarity, mass, dispersion, invariance, tightness
 
 
+@pytest.mark.slow
 def test_criterion_09_nls():
     t0 = time.time()
     grid = TorusGrid(2.0, 32, 3.0)

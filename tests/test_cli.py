@@ -178,3 +178,34 @@ def test_grid_validation_maps_to_config_error(capsys, tmp_path):
     code, _, err = run(capsys, "sample-gff", "--L", "2", "--K", "2",
                        "--M", "6", "--out", str(tmp_path))
     assert code == 2
+
+
+def test_unconverged_midpoint_kick_exits_3(capsys, tmp_path):
+    # a field this strong makes the fixed-point iteration diverge
+    code, _, err = run(capsys, "evolve-nls", "--L", "1", "--K", "2",
+                       "--lambda", "1", "--dt", "0.05", "--T", "0.05",
+                       "--modes", "gff", "--set", "flow.substep=midpoint",
+                       "--set", "init.amplitude=10", "--out", str(tmp_path))
+    assert code == 3
+    assert "not converged" in err
+
+@pytest.mark.parametrize("command, setting", [
+    ("evolve-nlw", "flow.dt=0"),
+    ("evolve-nlw", "flow.T=-0.5"),
+    ("evolve-nls", "flow.dt=-0.01"),
+    ("evolve-nls", "flow.T=-0.5"),
+    ("evolve-nls", "flow.substep=euler"),
+])
+def test_flow_config_errors_exit_2(capsys, tmp_path, command, setting):
+    code, _, err = run(capsys, command, "--L", "1", "--K", "2",
+                       "--set", setting, "--out", str(tmp_path))
+    assert code == 2
+    assert "config error" in err
+
+
+def test_workers_setting_is_gone(capsys, tmp_path):
+    code, _, err = run(capsys, "wick-constants", "--set", "workers=2",
+                       "--out", str(tmp_path))
+    assert code == 2
+    with pytest.raises(SystemExit):
+        main(["wick-constants", "--workers", "2"])

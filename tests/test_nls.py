@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from wickwaves import nls
 from wickwaves.gaussian import RngStream, sample_complex_gff_coeffs
+from wickwaves.io import NumericalGateError
 from wickwaves.nls import (
     MIDPOINT_SUBSTEP,
     PHASE_SUBSTEP,
@@ -72,6 +74,45 @@ def test_midpoint_reversibility(nls_grid):
         back = split_step(back, cfg, dt=-cfg.dt)
     scale = np.max(np.abs(st.u))
     assert np.max(np.abs(back.u - st.u)) / scale < 1e-10
+
+
+def _fixed_point_kick(grid, coeffs, lam, tau, a):
+    """The midpoint kick iterated on the whole batch until every update is
+    at most 1e-15 of its member's norm."""
+    norm = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
+    new = coeffs
+    for _ in range(200):
+        nxt = coeffs - 1j * lam * tau * nls._projected_cubic(
+            grid, 0.5 * (coeffs + new), a)
+        delta = np.sqrt(np.sum(np.abs(nxt - new) ** 2, axis=(-2, -1)))
+        new = nxt
+        if np.all(delta <= 1e-15 * norm):
+            return new
+    raise AssertionError("reference fixed point did not converge")
+
+
+def test_midpoint_kick_converges(nls_grid, monkeypatch):
+    # each kick stops at an update of 1e-13 of the member's norm; three
+    # steps (six kicks) stay within 1e-13 of the fixed point, member by
+    # member, in the largest coefficient
+    st = NlsState(nls_grid, sample_complex_gff_coeffs(
+        nls_grid, 1.0, RngStream(8, 0), size=4))
+    cfg = NlsConfig(1.0, 1.0, 0.01, wick_a=0.4, substep=MIDPOINT_SUBSTEP)
+    out = st
+    for _ in range(3):
+        out = split_step(out, cfg)
+    monkeypatch.setattr(nls, "_midpoint_kick", _fixed_point_kick)
+    ref = st
+    for _ in range(3):
+        ref = split_step(ref, cfg)
+    err = np.max(np.abs(out.u - ref.u), axis=(-2, -1))
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref.u), axis=(-2, -1)))
+
+
+def test_midpoint_kick_raises_when_not_converged(nls_grid):
+    u = random_state(nls_grid, 9).u
+    with pytest.raises(NumericalGateError, match="not converged"):
+        nls._midpoint_kick(nls_grid, u, 1.0, 0.005, 0.4, max_iter=2)
 
 
 def test_phase_substep_smooth_data(nls_grid):
