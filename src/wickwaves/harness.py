@@ -326,6 +326,13 @@ def invariance_experiment(grid, flow, T, n, rng: RngStream, m=1.0, lam=1.0,
         raise ValueError("ensemble size n must be even (independent halves)")
     if wick_a is None:
         wick_a = wick_constant_continuum(grid.K, m)
+    dt = dt if dt is not None else 0.01
+    if flow == "nls":
+        cfg = nls_mod.NlsConfig(m, lam, dt, wick_a,
+                                substep=nls_mod.MIDPOINT_SUBSTEP)
+    else:
+        cfg = nlw_mod.NlwConfig(m, 0.0 if flow == "linear" else lam, dt,
+                                wick_a)
     ctx = FlowContext(grid, m, lam if flow != "linear" else 0.0, wick_a,
                       flow, quartic_coeff)
     if observables is None:
@@ -350,14 +357,8 @@ def invariance_experiment(grid, flow, T, n, rng: RngStream, m=1.0, lam=1.0,
     half = n // 2
     u0, uT = u[:half], u[half:]
     ut0 = utT = None
-    dt = dt if dt is not None else 0.01
-    if flow == "nls":
-        cfg = nls_mod.NlsConfig(m, lam, dt, wick_a,
-                                substep=nls_mod.MIDPOINT_SUBSTEP)
-    else:
+    if flow != "nls":
         ut0, utT = ut[:half], ut[half:]
-        cfg = nlw_mod.NlwConfig(m, 0.0 if flow == "linear" else lam, dt,
-                                wick_a)
     if T > 0:
         uT, utT = _evolve_gated(grid, cfg, T, uT, utT, chunk)
 
@@ -417,10 +418,11 @@ def volume_stabilization_study(L_list, K, T, n, rng: RngStream, m=1.0,
         raise ValueError(
             "window plus light cone exceeds the smallest torus: need "
             "D + speed*T <= L_min/2")
+    a = wick_constant_continuum(K, m)
+    cfg = nlw_mod.NlwConfig(m, lam, dt, a)
     per_l = {}
     for i, L in enumerate(L_list):
         grid = _grid_for(L, K)
-        a = wick_constant_continuum(K, m)
         ctx = FlowContext(grid, m, lam, a, "nlw")
         obs = [ob for ob in default_observables(ctx, support_radius=d)
                if ob.support_radius is not None or ob.kind == "hamiltonian"]
@@ -434,7 +436,6 @@ def volume_stabilization_study(L_list, K, T, n, rng: RngStream, m=1.0,
                 spec, n, rng.child(10 + i), sampler_opts=sampler_opts)
             u, ut = ens.u, ens.ut
         half = n // 2
-        cfg = nlw_mod.NlwConfig(m, lam, dt, a)
         uT, utT = _evolve_gated(grid, cfg, T, u[half:], ut[half:], chunk)
         x0 = np.column_stack([np.asarray(ob.evaluate(ctx, u[:half],
                                                      ut[:half]), float)
@@ -504,7 +505,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
     rows = []
     for M in M_grid:
         tail = float(np.mean(x > M))
-        tau = 1.0 / (C**2 * (4.0 * lam * max(1.0, M) ** 3) ** 2)
+        tau = nlw_mod.picard_tau(lam, M, C)
         iters = int(math.ceil(T / tau))
         rows.append({"M": float(M), "tail": tail, "tau": tau,
                      "iterations": iters, "bound": iters * tail})

@@ -234,10 +234,18 @@ def write_csv(path, header, rows):
 
 class OutputSet:
     """Tracks files written by one command so a failure can remove the
-    partial outputs it produced."""
+    partial outputs it produced; as a context manager it removes them when
+    its block raises."""
 
     def __init__(self):
         self.paths = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self.discard()
 
     def json(self, path, payload):
         write_json(path, payload)

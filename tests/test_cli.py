@@ -1,10 +1,10 @@
+import argparse
 import json
 import math
-import os
 
 import pytest
 
-from wickwaves.cli import main
+from wickwaves.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -195,12 +195,21 @@ def test_unconverged_midpoint_kick_exits_3(capsys, tmp_path):
     ("evolve-nls", "flow.dt=-0.01"),
     ("evolve-nls", "flow.T=-0.5"),
     ("evolve-nls", "flow.substep=euler"),
+    ("invariance", "harness.n=21"),
+    ("invariance", "flow.dt=0"),
+    ("invariance", "flow.kind=bogus"),
+    ("sample-phi4", "sampler.kind=bogus"),
+    ("volume-study", "harness.L_list=4"),
 ])
 def test_flow_config_errors_exit_2(capsys, tmp_path, command, setting):
-    code, _, err = run(capsys, command, "--L", "1", "--K", "2",
-                       "--set", setting, "--out", str(tmp_path))
+    grid = ["--K", "2"]
+    if command != "volume-study":       # its grids follow harness.L_list
+        grid = ["--L", "1"] + grid
+    code, _, err = run(capsys, command, *grid, "--set", setting,
+                       "--out", str(tmp_path))
     assert code == 2
     assert "config error" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_workers_setting_is_gone(capsys, tmp_path):
@@ -209,3 +218,147 @@ def test_workers_setting_is_gone(capsys, tmp_path):
     assert code == 2
     with pytest.raises(SystemExit):
         main(["wick-constants", "--workers", "2"])
+
+
+def test_allowed_values_checked_on_every_route(capsys, tmp_path):
+    # weight.kind takes flat or polynomial_decay, whatever the route
+    code, _, err = run(capsys, "besov-norm", "--n", "1",
+                       "--set", "weight.kind=poly")
+    assert code == 2
+    assert "unknown weight kind 'poly'" in err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("sampler.kind = bogus\n")
+    code, _, err = run(capsys, "sample-phi4", "--config", str(cfgfile))
+    assert code == 2
+    assert "unknown sampler kind 'bogus'" in err
+    with pytest.raises(SystemExit):
+        main(["sample-phi4", "--sampler", "bogus"])
+    code, out, _ = run(capsys, "besov-norm", "--n", "1",
+                       "--set", "weight.kind=polynomial_decay")
+    assert code == 0
+    assert out.startswith("sample 0: ")
+
+
+# Every command's flags, each as flag -> (config key, type, allowed values),
+# as the parser stood before the key table.  The table may add a flag for a
+# key a command already takes, never drop or change one.
+PARENT_FLAGS = {
+    "wick-constants": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--m": ("measure.m", "float", None)},
+    "sample-gff": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None), "--m": ("measure.m", "float", None),
+        "--n": ("n", "int", None)},
+    "sample-phi4": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None), "--m": ("measure.m", "float", None),
+        "--lambda": ("measure.lambda", "float", None),
+        "--n": ("n", "int", None),
+        "--sampler": ("sampler.kind", "str",
+                      ("hmc", "mala", "rejection_oracle"))},
+    "evolve-nlw": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None),
+        "--lambda": ("flow.lambda", "float", None),
+        "--dt": ("flow.dt", "float", None), "--T": ("flow.T", "float", None),
+        "--modes": ("init.modes", "str", ("single", "gff"))},
+    "evolve-nls": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None),
+        "--lambda": ("flow.lambda", "float", None),
+        "--dt": ("flow.dt", "float", None), "--T": ("flow.T", "float", None),
+        "--modes": ("init.modes", "str", ("single", "gff"))},
+    "besov-norm": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None), "--m": ("measure.m", "float", None),
+        "--n": ("n", "int", None), "--s": ("besov.s", "float", None),
+        "--p": ("besov.p", "float", None), "--r": ("besov.r", "float", None)},
+    "invariance": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None), "--m": ("measure.m", "float", None),
+        "--lambda": ("measure.lambda", "float", None),
+        "--flow": ("flow.kind", "str", ("nlw", "nls", "linear")),
+        "--T": ("flow.T", "float", None), "--dt": ("flow.dt", "float", None),
+        "--n": ("harness.n", "int", None)},
+    "volume-study": {
+        "--K": ("grid.K", "float", None),
+        "--L-list": ("harness.L_list", "str", None),
+        "--T": ("flow.T", "float", None), "--n": ("harness.n", "int", None),
+        "--m": ("measure.m", "float", None),
+        "--lambda": ("measure.lambda", "float", None)},
+    "blowup-table": {
+        "--L": ("grid.L", "float", None), "--K": ("grid.K", "float", None),
+        "--M": ("grid.M", "int", None), "--m": ("measure.m", "float", None),
+        "--lambda": ("measure.lambda", "float", None)},
+    "audit-inequalities": {
+        "--trials": ("audit.trials", "int", None),
+        "--kinds": ("audit.kinds", "str", None)},
+}
+ADDED_FLAGS = {
+    "volume-study": {"--dt": ("flow.dt", "float", None)},
+    "blowup-table": {"--n": ("harness.n", "int", None)},
+}
+
+
+def _parser_flags():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for name, sub in subs.choices.items():
+        flags[name] = {
+            a.option_strings[0]: (a.dest, (a.type or str).__name__,
+                                  tuple(a.choices) if a.choices else None)
+            for a in sub._actions
+            if a.dest not in ("help", "config", "set", "seed", "out")}
+    return flags
+
+
+def test_cli_surface_keeps_every_flag():
+    flags = _parser_flags()
+    assert set(flags) == set(PARENT_FLAGS)
+    for name, parent in PARENT_FLAGS.items():
+        assert flags[name] == {**parent, **ADDED_FLAGS.get(name, {})}, name
+
+
+def test_manifest_config_holds_only_given_keys(capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "sample-gff", "--L", "1", "--K", "1",
+                       "--n", "2", "--set", "measure.m=2")
+    assert code == 0
+    man = json.loads((tmp_path / "gff_manifest.json").read_text())
+    assert man["manifest"]["config"] == {
+        "grid.K": "1", "grid.L": "1", "measure.m": "2", "n": "2"}
+    # the hash this run had before the key table
+    assert man["manifest"]["config_hash"] == "95b0a8da150e8828"
+    assert "95b0a8da150e8828" in out
+
+
+def test_volume_study_cmd(capsys, tmp_path):
+    code, out, _ = run(capsys, "volume-study", "--K", "1",
+                       "--L-list", "4,8", "--T", "0.1", "--n", "40",
+                       "--set", "measure.lambda=0", "--set", "harness.D=1",
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert "stabilization PASS" in out
+    rep = json.loads((tmp_path / "volume_study.json").read_text())
+    assert rep["L_list"] == [4.0, 8.0]
+    assert rep["manifest"]["config"]["harness.L_list"] == "4,8"
+    rows = (tmp_path / "volume_study.csv").read_text().splitlines()
+    assert rows[0] == "ensemble,L_small,L_large,energy_distance"
+    assert len(rows) == 3          # one pair, at t=0 and at t=T
+
+
+def test_blowup_table_cmd(capsys, tmp_path):
+    code, out, _ = run(capsys, "blowup-table", "--L", "2", "--K", "2",
+                       "--set", "harness.n=16", "--set", "harness.T=1",
+                       "--out", str(tmp_path))
+    assert code == 0
+    rep = json.loads((tmp_path / "blowup_manifest.json").read_text())
+    rows = rep["rows"]
+    assert len(rows) == 6          # five quantiles and 1.1 max
+    assert [r["M"] for r in rows] == sorted(r["M"] for r in rows)
+    assert all(r["iterations"] == math.ceil(1.0 / r["tau"]) for r in rows)
+    assert len(out.splitlines()) == 6
+    assert (tmp_path / "blowup_table.csv").exists()

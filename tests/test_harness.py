@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wickwaves import harness
 from wickwaves.gaussian import RngStream, sample_gff_coeffs
 from wickwaves.harness import (
     FlowContext,
@@ -69,6 +70,23 @@ def test_invariance_input_validation(hgrid):
         invariance_experiment(hgrid, "heat", 1.0, 10, RngStream(4, 0))
     with pytest.raises(ValueError):
         invariance_experiment(hgrid, "nlw", 1.0, 11, RngStream(4, 0))
+
+
+def test_arguments_checked_before_any_draw(hgrid, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+    monkeypatch.setattr(harness, "_sample_gaussian_ensemble", no_draw)
+    monkeypatch.setattr(harness, "sample_initial_ensemble", no_draw)
+    for flow in ("linear", "nlw", "nls"):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            invariance_experiment(hgrid, flow, 0.5, 20, RngStream(4, 0),
+                                  dt=0.0)
+    with pytest.raises(ValueError, match="even"):
+        invariance_experiment(hgrid, "linear", 0.5, 21, RngStream(4, 0),
+                              lam=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        volume_stabilization_study([4.0, 8.0], 1.5, 0.5, 20,
+                                   RngStream(8, 0), dt=0.0)
 
 
 def test_invariance_linear_flow_passes(hgrid):
