@@ -16,8 +16,8 @@ import math
 def _schedule(dt, t_final, record_times):
     """The record times due at t=0, and [end, size, record times due] per
     step."""
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
+    if not (0 <= t_final < math.inf):
+        raise ValueError("t_final must be finite and >= 0")
     tol = 1e-12 * max(1.0, t_final)
     want = sorted(record_times)
     if want and (want[0] < -tol or want[-1] > t_final + tol):

@@ -275,6 +275,10 @@ def _evolve(v, flow, config):
         u = amp * sample(grid, 1.0, RngStream(v["seed"], 0))
     else:
         k1, k2 = v["init.k1"], v["init.k2"]
+        if max(abs(k1), abs(k2)) > grid.kmax \
+                or not grid.ball_mask()[grid.kmax + k1, grid.kmax + k2]:
+            raise ConfigError("init.k1, init.k2 = %d, %d: the mode lies "
+                              "outside the ball |n| <= K" % (k1, k2))
         u = np.zeros((grid.nk, grid.nk), dtype=np.complex128)
         u[grid.kmax + k1, grid.kmax + k2] = amp if cplx else amp / 2.0
         if not cplx:

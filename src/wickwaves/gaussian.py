@@ -11,6 +11,7 @@ gives covariance <f, (m^2 - Delta)^{-1} g> and pointwise variance
     E[Z(0)^2] = (1/L^2) sum_{|n|<=K} 1 / (m^2 + |n|^2),
 
 which is exactly the lattice Wick constant.  White noise uses c(n) = g_n/L.
+Every Wick density, force and constant in the package reads `WICK_TABLE`.
 """
 
 from __future__ import annotations
@@ -171,30 +172,53 @@ def gff_covariance(grid, m, dx):
 
 
 # ---------------------------------------------------------------------------
-# Wick powers
+# The Wick table and Wick powers
 
-def _hermite_wick(u, j, a):
-    """Pointwise Wick monomial :u^j: with constant a (Hermite structure)."""
-    if j == 0:
-        return np.ones_like(u)
-    if j == 1:
-        return u
-    if j == 2:
-        return u * u - a
-    if j == 3:
-        return u * (u * u - 3.0 * a)
-    if j == 4:
-        u2 = u * u
-        return u2 * u2 - 6.0 * a * u2 + 3.0 * a * a
-    raise ValueError("Wick power j must be in {2, 3, 4}")
+@dataclass(frozen=True)
+class WickColumn:
+    """One column of WICK_TABLE, keyed by whether the field is real: normal
+    ordering of real (Hermite) or complex (Laguerre in |u|^2) fields at
+    variance a.  With s = u^2 or |u|^2 and (c, d, k) = (3, 6, 4) or
+    (2, 2, 2), the degree-2, 3 and 4 entries are s - a, (s - c a) u and
+    (s - c a)^2 - d a^2.  k times the degree-3 entry is the gradient (d/du,
+    or d/d(conj u)) of the degree-4 entry, whose minimum -d a^2 lies c^2 a^2
+    below its value at u = 0."""
+
+    c: float
+    d: float
+    k: float
+
+    def shifted(self, u, a, c=None):
+        """s - c a (c defaults to the column's), a new real array."""
+        s = u.real * u.real
+        if np.iscomplexobj(u):
+            s += u.imag * u.imag
+        s -= (self.c if c is None else c) * a
+        return s
+
+    def density(self, u, j, a, overwrite=False):
+        """The degree-j entry at samples u (degrees 0 and 1 are 1 and u);
+        with overwrite, the degree-3 entry reuses u's buffer."""
+        if j not in range(5):
+            raise ValueError("Wick degree j must be in 0..4")
+        if j < 2:
+            return u if j == 1 else np.ones_like(u)
+        s = self.shifted(u, a, 1.0 if j == 2 else None)
+        if j == 3:
+            return np.multiply(u, s, out=u if overwrite else None)
+        return s if j == 2 else np.square(s) - self.d * a * a
+
+
+WICK_TABLE = {True: WickColumn(3.0, 6.0, 4.0),
+              False: WickColumn(2.0, 2.0, 2.0)}
 
 
 def wick_power_coeffs(grid, coeffs, j, a, output_radius=None, real=True):
-    """Batched Wick power; pointwise Hermite evaluation on an alias-free grid."""
+    """Batched Wick power: the table's entry on an alias-free grid."""
     if j not in (2, 3, 4):
         raise ValueError("Wick power j must be in {2, 3, 4}")
     plan = spectral_plan(grid, real, j)
-    w = _hermite_wick(plan.to_grid(coeffs), j, a)
+    w = WICK_TABLE[real].density(plan.to_grid(coeffs), j, a, overwrite=True)
     return plan.from_grid(w, radius=output_radius)
 
 
@@ -206,23 +230,24 @@ def wick_power(Z: FourierField, j, a, output_radius=None):
 
 def wick_power_shifted(Z: FourierField, phi: FourierField, j, a,
                        output_radius=None):
-    """:(Z+phi)^j: = sum_i C(j,i) :Z^i: phi^(j-i), products exact (no
-    intermediate truncation)."""
+    """:(Z+phi)^j: = sum_i C(j,i) :Z^i: phi^(j-i) for real fields (the
+    Hermite binomial rule), products exact (no intermediate truncation)."""
     if Z.grid != phi.grid:
         from .torus import GridMismatchError
         raise GridMismatchError("Z and phi must share a grid")
     if j not in (2, 3, 4):
         raise ValueError("Wick power j must be in {2, 3, 4}")
-    grid = Z.grid
-    real = Z.real and phi.real
-    plan = spectral_plan(grid, real, j)
+    if not (Z.real and phi.real):
+        raise ValueError("shifted Wick powers need real fields")
+    plan = spectral_plan(Z.grid, True, j)
     z = plan.to_grid(Z.coeffs)
     f = plan.to_grid(phi.coeffs)
+    col = WICK_TABLE[True]
     total = np.zeros_like(z)
     for i in range(j + 1):
-        total = total + math.comb(j, i) * _hermite_wick(z, i, a) * f ** (j - i)
+        total = total + math.comb(j, i) * col.density(z, i, a) * f ** (j - i)
     c = plan.from_grid(total, radius=output_radius)
-    return FourierField(grid, c, real)
+    return FourierField(Z.grid, c, True)
 
 
 def mollified_wick_cubic(Z: FourierField, delta, m, chi=chi_plateau):
@@ -231,22 +256,17 @@ def mollified_wick_cubic(Z: FourierField, delta, m, chi=chi_plateau):
     if delta <= 0:
         raise ValueError("mollification scale must be positive")
     grid = Z.grid
-    r = np.sqrt(grid.mode_nsq())
-    mult = chi(delta * r)
-    zc = Z.coeffs * mult
-    # a_delta = E[(Z^delta)(0)^2], exact weighted lattice sum
-    mask = grid.ball_mask()
-    a_delta = float(np.sum((mult**2 / (m**2 + grid.mode_nsq()))[mask]) / grid.L**2)
+    zc = Z.coeffs * chi(delta * np.sqrt(grid.mode_nsq()))
+    a_delta = mollified_variance(grid, delta, m, chi)
     c = wick_power_coeffs(grid, zc, 3, a_delta, grid.K, Z.real)
     return FourierField(grid, c, Z.real)
 
 
 def mollified_variance(grid, delta, m, chi=chi_plateau):
-    """a_delta, the exact mode sum weighted by chi_delta^2."""
-    r = np.sqrt(grid.mode_nsq())
-    mult = chi(delta * r)
-    mask = grid.ball_mask()
-    return float(np.sum((mult**2 / (m**2 + grid.mode_nsq()))[mask]) / grid.L**2)
+    """a_delta = E[(Z^delta)(0)^2]: the mode sum weighted by chi_delta^2."""
+    mult = chi(delta * np.sqrt(grid.mode_nsq()))
+    return float(np.sum((mult**2 / (m**2 + grid.mode_nsq()))[grid.ball_mask()])
+                 / grid.L**2)
 
 
 def pairing(f_coeffs, g_coeffs, L):

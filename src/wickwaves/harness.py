@@ -24,8 +24,8 @@ from . import nls as nls_mod
 from . import nlw as nlw_mod
 from .besov import FLAT, POLY, BesovParams, WeightSpec, besov_norm_array
 from .gaussian import (
+    WICK_TABLE,
     RngStream,
-    _hermite_wick,
     sample_complex_gff_coeffs,
     sample_gff_coeffs,
     sample_white_noise_coeffs,
@@ -89,8 +89,8 @@ class Observable:
 
 
 def _wick_moment(ctx, u, degree):
-    """int :u^degree: dx with the measure's own constant (real fields) or
-    the modulus-based normal ordering (complex fields)."""
+    """int :u^degree: dx with the measure's own constant, from the Wick
+    table's real or complex column."""
     real = ctx.field_type == REAL_FIELD
     if degree not in ((2, 3, 4) if real else (2, 4)):
         raise ValueError("wick degree must be 2, 3 or 4 (real fields) or "
@@ -98,11 +98,7 @@ def _wick_moment(ctx, u, degree):
     if degree == 4:
         return quartic_integral(ctx.measure_spec(), u)
     plan = spectral_plan(ctx.grid, real)
-    z = plan.to_grid(u)
-    if real:
-        dens = _hermite_wick(z, degree, ctx.wick_a)
-    else:
-        dens = z.real * z.real + z.imag * z.imag - ctx.wick_a
+    dens = WICK_TABLE[real].density(plan.to_grid(u), degree, ctx.wick_a)
     return np.sum(dens, axis=(-2, -1)) * (ctx.grid.L / plan.P) ** 2
 
 
@@ -492,7 +488,7 @@ def blowup_bookkeeping(grid, M_grid, T, n, rng: RngStream, m=1.0, lam=1.0,
             wt = nlw_mod.linear_propagate(st, m, float(t))
             z = plan.to_grid(wt.u)
             for j in (1, 2, 3):
-                cj = plan.from_grid(_hermite_wick(z, j, a))
+                cj = plan.from_grid(WICK_TABLE[True].density(z, j, a))
                 norms[j - 1, ti] = besov_norm_array(grid, cj, params, w_spec)
         # L^4 in time by the trapezoid rule over [0, 1]
         wts = np.gradient(times)

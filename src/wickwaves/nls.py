@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _timeloop
 from .besov import BesovParams, WeightSpec, besov_norm_array
-from .gaussian import wick_constant_continuum
+from .gaussian import WICK_TABLE, wick_constant_continuum, wick_power_coeffs
 from .io import NumericalGateError
 from .torus import FourierField, GridMismatchError, TorusGrid, spectral_plan
 
@@ -93,20 +93,8 @@ def _phase_kick(grid, coeffs, lam, tau, a):
     re-truncated to the active band."""
     plan = spectral_plan(grid, real=False)
     z = plan.to_grid(coeffs)
-    zsq = z.real * z.real + z.imag * z.imag
-    return plan.from_grid(z * np.exp(-1j * lam * tau * (zsq - 2.0 * a)))
-
-
-def _projected_cubic(grid, coeffs, a):
-    """P_K[(|u|^2 - 2 a) u], alias-free; the gradient of the truncated
-    quartic Hamiltonian."""
-    plan = spectral_plan(grid, real=False)
-    z = plan.to_grid(coeffs)
-    zsq = z.real * z.real
-    zsq += z.imag * z.imag
-    zsq -= 2.0 * a
-    z *= zsq
-    return plan.from_grid(z)
+    shifted = WICK_TABLE[False].shifted(z, a)
+    return plan.from_grid(z * np.exp(-1j * lam * tau * shifted))
 
 
 def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=60):
@@ -133,7 +121,7 @@ def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=60):
     for _ in range(max_iter):
         mid = u + new
         mid *= 0.5
-        nxt = _projected_cubic(grid, mid, a)
+        nxt = wick_power_coeffs(grid, mid, 3, a, real=False)
         nxt *= -1j * lam * tau
         nxt += u
         done = _sq_norms(nxt - new) <= bound[live]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _timeloop
-from .gaussian import wick_constant_continuum
+from .gaussian import wick_constant_continuum, wick_power_coeffs
 from .phi4 import MeasureSpec, quartic_integral
 from .torus import (
     FourierField,
@@ -36,7 +36,6 @@ from .torus import (
     TorusGrid,
     chi_plateau,
     from_physical_array,
-    spectral_plan,
     to_physical_array,
 )
 
@@ -104,9 +103,7 @@ def linear_propagate(state: WaveState, m, t):
 
 def wick_cubic_coeffs(grid, u_coeffs, a):
     """P_K :(P_K u)^3: — alias-free cubic minus the linear counterterm."""
-    plan = spectral_plan(grid)
-    z = plan.to_grid(u_coeffs)
-    return plan.from_grid(z * (z * z - 3.0 * a))
+    return wick_power_coeffs(grid, u_coeffs, 3, a)
 
 
 def _force(state: WaveState, cfg: NlwConfig):

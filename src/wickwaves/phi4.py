@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
+    WICK_TABLE,
     RngStream,
     _canonical_half_mask,
     sample_complex_gff_coeffs,
@@ -47,10 +48,10 @@ COMPLEX_FIELD = "complex"
 class MeasureSpec:
     """Parameters pinning down the finite-dimensional Gibbs density.
 
-    quartic_coeff defaults to lambda/4 for real fields (the Hamiltonian of
-    the cubic wave flow) and lambda/2 for complex fields (the Hamiltonian
-    of the cubic Schrodinger flow); wick_a defaults to the full-space
-    constant pi*log((m^2+K^2)/m^2).
+    quartic_coeff defaults to lambda/k: lambda/4 for real fields (the
+    Hamiltonian of the cubic wave flow) and lambda/2 for complex fields (the
+    Hamiltonian of the cubic Schrodinger flow); wick_a defaults to the
+    full-space constant pi*log((m^2+K^2)/m^2).
     """
 
     grid: TorusGrid
@@ -74,7 +75,11 @@ class MeasureSpec:
     def q(self):
         if self.quartic_coeff is not None:
             return self.quartic_coeff
-        return self.lam / 4.0 if self.field_type == REAL_FIELD else self.lam / 2.0
+        return self.lam / self.wick.k
+
+    @property
+    def wick(self):
+        return WICK_TABLE[self.field_type == REAL_FIELD]
 
     @property
     def a(self):
@@ -244,21 +249,13 @@ def _layout(grid, field_type):
 # Action and gradient
 
 def _wick_quartic(spec, z, want_cubic=False):
-    """Sum over padded samples z of the Wick quartic density, and the
-    Wick cubic whose band spectrum is the density's gradient over 4
-    (real) or 2 (complex) when want_cubic (else None)."""
-    a = spec.a
-    if spec.field_type == REAL_FIELD:
-        # u^4 - 6a u^2 + 3a^2 = (u^2 - 3a)^2 - 6a^2
-        y = z * z
-        y -= 3.0 * a
-        shift = 6.0 * a * a
-    else:
-        # |u|^4 - 4a |u|^2 + 2a^2 = (|u|^2 - 2a)^2 - 2a^2
-        y = z.real * z.real + z.imag * z.imag
-        y -= 2.0 * a
-        shift = 2.0 * a * a
-    total = np.sum(np.square(y), axis=(-2, -1)) - shift * z.shape[-1] ** 2
+    """Sum over padded samples z of the Wick table's quartic density
+    (s - c a)^2 - d a^2, and its cubic (s - c a) z, whose band spectrum is
+    the density's gradient over k, when want_cubic (else None)."""
+    a, wick = spec.a, spec.wick
+    y = wick.shifted(z, a)
+    total = np.sum(np.square(y), axis=(-2, -1)) \
+        - wick.d * a * a * z.shape[-1] ** 2
     return total, (y * z if want_cubic else None)
 
 
@@ -288,8 +285,7 @@ def _action_and_gradient(spec, dofs, want_gradient=True):
         + spec.q * (spec.grid.L / lay.plan.P) ** 2 * quart
     if not want_gradient:
         return s, None
-    mult = (4.0 if spec.field_type == REAL_FIELD else 2.0) * spec.q
-    return s, curv * dofs + mult * lay.grad_spectrum(cubic)
+    return s, curv * dofs + spec.wick.k * spec.q * lay.grad_spectrum(cubic)
 
 
 def action_gradient(u, spec: MeasureSpec):
@@ -381,6 +377,12 @@ def _hartree_start(spec: MeasureSpec):
     return math.sqrt(v2), math.sqrt(max(M2, 1e-3))
 
 
+def _deep_well(spec: MeasureSpec):
+    """Whether q times the wells' depth c^2 a^2 over the torus exceeds 5."""
+    depth = spec.q * spec.grid.volume * (spec.wick.c * spec.wick.c) * spec.a**2
+    return spec.q > 0.0 and spec.a > 0.0 and depth > 5.0
+
+
 def init_chain(spec: MeasureSpec, rng: RngStream, batch=1, start=None):
     """Chains started from the free-field measure (a good overdispersed
     start: the target is a density against exactly that Gaussian).
@@ -397,18 +399,13 @@ def init_chain(spec: MeasureSpec, rng: RngStream, batch=1, start=None):
         if dofs.ndim == 1:
             dofs = np.broadcast_to(dofs, (batch, dofs.size)).copy()
         return ChainState(spec=spec, dofs=dofs, rng=rng.child(1))
-    real = spec.field_type == REAL_FIELD
-    depth_coeff = 9.0 if real else 4.0
-    well_depth = spec.q * spec.grid.volume * depth_coeff * spec.a**2
-    deep = spec.q > 0.0 and spec.a > 0.0 and well_depth > 5.0
+    deep = _deep_well(spec)
     m_start, shift = spec.m, 0.0
     if deep:
         shift, m_start = _hartree_start(spec)
-    if real:
-        c = sample_gff_coeffs(spec.grid, m_start, rng.child(0), size=batch)
-    else:
-        c = sample_complex_gff_coeffs(spec.grid, m_start, rng.child(0),
-                                      size=batch)
+    sample = (sample_gff_coeffs if spec.field_type == REAL_FIELD
+              else sample_complex_gff_coeffs)
+    c = sample(spec.grid, m_start, rng.child(0), size=batch)
     if deep:
         c[..., spec.grid.kmax, spec.grid.kmax] += shift
     return ChainState(spec=spec, dofs=pack_dofs(spec, c), rng=rng.child(1))
@@ -600,8 +597,8 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
         e = np.exp(2j * np.pi * gen.random(batch))
     w0 = (np.conj(e) * v).real
     v_perp = v - w0 * e
-    # fixed bracket: both mean-field wells plus free-field thermal tails
-    R = math.sqrt(3.0 * max(spec.a, 0.0)) + reach * max(
+    # fixed bracket: the real wells u^2 = c a (the wider) plus thermal tails
+    R = math.sqrt(WICK_TABLE[True].c * max(spec.a, 0.0)) + reach * max(
         1.0, 1.0 / (spec.grid.L * max(spec.m, 1e-6)))
     nodes = R * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     svals = np.empty((5, batch))
@@ -662,11 +659,9 @@ def rejection_oracle(spec: MeasureSpec, n_samples, rng: RngStream,
         raise ValueError(
             "rejection oracle limited to <= 16 active modes (got %d); "
             "use MALA for larger systems" % grid.n_active())
-    a, q = spec.a, spec.q
-    if spec.field_type == REAL_FIELD:
-        w_min = -6.0 * a**2 * grid.volume   # min_t (t^4-6at^2+3a^2) = -6a^2
-    else:
-        w_min = -2.0 * a**2 * grid.volume   # min_s (s^2-4as+2a^2) = -2a^2
+    w_min = -spec.wick.d * spec.a**2 * grid.volume    # the density's minimum
+    sample = (sample_gff_coeffs if spec.field_type == REAL_FIELD
+              else sample_complex_gff_coeffs)
     gen = rng.generator()
     out = []
     got = 0
@@ -674,15 +669,10 @@ def rejection_oracle(spec: MeasureSpec, n_samples, rng: RngStream,
     stream = rng.child(7)
     block = 0
     while got < n_samples:
-        if spec.field_type == REAL_FIELD:
-            c = sample_gff_coeffs(grid, spec.m, stream.child(block),
-                                  size=max_batch)
-        else:
-            c = sample_complex_gff_coeffs(grid, spec.m, stream.child(block),
-                                          size=max_batch)
+        c = sample(grid, spec.m, stream.child(block), size=max_batch)
         block += 1
         w = quartic_integral(spec, c)
-        keep = np.log(gen.uniform(size=w.shape)) < -q * (w - w_min)
+        keep = np.log(gen.uniform(size=w.shape)) < -spec.q * (w - w_min)
         attempts += max_batch
         kept = c[keep]
         out.append(kept[:n_samples - got])
@@ -708,6 +698,8 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         raise ValueError("unknown sampler %r" % (sampler,))
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if thinning is not None and thinning < 1:
+        raise ValueError("thinning must be >= 1")
     grid = spec.grid
     manifest = dict(spec.manifest())
     manifest.update({"sampler": sampler, "n_samples": n_samples,
@@ -729,9 +721,7 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         burn = burn_in if burn_in is not None else 128
         dt = tune_hmc_step(state, dt, steps=max(20, burn // 3),
                            n_leap=n_leap)
-        depth_coeff = 9.0 if spec.field_type == REAL_FIELD else 4.0
-        deep = (spec.q > 0.0 and spec.a > 0.0 and
-                spec.q * grid.volume * depth_coeff * spec.a**2 > 5.0)
+        deep = _deep_well(spec)
 
         def step(st, d):
             hmc_step(st, d, n_leap)

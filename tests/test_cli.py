@@ -199,14 +199,20 @@ def test_unconverged_midpoint_kick_exits_3(capsys, tmp_path):
     ("invariance", "flow.dt=0"),
     ("invariance", "flow.kind=bogus"),
     ("sample-phi4", "sampler.kind=bogus"),
+    ("sample-phi4", "sampler.thinning=0"),
+    ("evolve-nlw", "flow.T=inf"),
+    ("evolve-nls", "flow.T=nan"),
+    ("evolve-nlw", "init.modes=single init.k1=2 init.k2=2"),
+    ("evolve-nlw", "init.modes=single init.k1=50"),
+    ("evolve-nls", "init.modes=single init.k1=-3"),
     ("volume-study", "harness.L_list=4"),
 ])
 def test_flow_config_errors_exit_2(capsys, tmp_path, command, setting):
     grid = ["--K", "2"]
     if command != "volume-study":       # its grids follow harness.L_list
         grid = ["--L", "1"] + grid
-    code, _, err = run(capsys, command, *grid, "--set", setting,
-                       "--out", str(tmp_path))
+    sets = [a for s in setting.split() for a in ("--set", s)]
+    code, _, err = run(capsys, command, *grid, *sets, "--out", str(tmp_path))
     assert code == 2
     assert "config error" in err
     assert not list(tmp_path.iterdir())

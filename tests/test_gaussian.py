@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wickwaves.gaussian import (
+    WICK_TABLE,
     RngStream,
     gff_covariance,
     mollified_variance,
@@ -93,6 +94,64 @@ def test_gff_covariance_positive(small_grid):
     g0 = gff_covariance(small_grid, 1.0, (0.0, 0.0))
     g1 = gff_covariance(small_grid, 1.0, (0.25, 0.0))
     assert g0 > g1 > 0.0
+
+
+# The expanded Wick polynomials by degree, in u and s = u^2 or |u|^2
+EXPANDED = {
+    True: {2: lambda u, s, a: u**2 - a,
+           3: lambda u, s, a: u**3 - 3 * a * u,
+           4: lambda u, s, a: u**4 - 6 * a * u**2 + 3 * a**2},
+    False: {2: lambda u, s, a: s - a,
+            3: lambda u, s, a: s * u - 2 * a * u,
+            4: lambda u, s, a: s**2 - 4 * a * s + 2 * a**2},
+}
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_wick_table_entries_and_gradient(gen, real):
+    a, h = 1.3, 1e-6
+    u = 2.0 * gen.standard_normal(200)
+    if not real:
+        u = u + 2j * gen.standard_normal(200)
+    s = np.abs(u) ** 2
+    col = WICK_TABLE[real]
+    for j, poly in EXPANDED[real].items():
+        want = poly(u, s, a)
+        got = col.density(u.copy(), j, a)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        assert np.array_equal(col.density(u.copy(), j, a, overwrite=True),
+                              got)
+
+    # k times the cubic is d/du (real) or d/d(conj u) (complex) of the quartic
+    def quartic(v):
+        return col.density(v, 4, a)
+
+    grad = (quartic(u + h) - quartic(u - h)) / (2 * h)
+    if not real:
+        grad = 0.5 * (grad + 1j * (quartic(u + 1j * h)
+                                   - quartic(u - 1j * h)) / (2 * h))
+    cubic = col.k * col.density(u, 3, a)
+    np.testing.assert_allclose(grad, cubic, rtol=0,
+                               atol=1e-7 * np.max(np.abs(cubic)))
+
+
+def test_complex_wick_powers_are_centred():
+    # E :|u|^2: = E :|u|^4: = 0 for the complex GFF with a = E|u(0)|^2;
+    # the zero mode of the Wick power is its space average
+    grid = TorusGrid(2.0, 32, 2.0)
+    a = wick_constant_lattice(grid.L, grid.K, 1.0)
+    c = sample_complex_gff_coeffs(grid, 1.0, RngStream(21, 0), size=2000)
+    for j in (2, 4):
+        zero = wick_power_coeffs(grid, c, j, a, real=False)[
+            :, grid.kmax, grid.kmax]
+        se = np.std(zero) / math.sqrt(len(zero))
+        assert abs(np.mean(zero)) < 4.0 * se
+    one = FourierField(grid, c[0], real=False)
+    assert np.array_equal(wick_power(one, 2, a).coeffs,
+                          wick_power_coeffs(grid, c[0], 2, a, real=False))
+    with pytest.raises(ValueError):
+        wick_power_shifted(one, one, 2, a)
 
 
 def test_wick_power_hermite_identities(small_grid):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wickwaves import nls
-from wickwaves.gaussian import RngStream, sample_complex_gff_coeffs
+from wickwaves.gaussian import (RngStream, sample_complex_gff_coeffs,
+                                wick_power_coeffs)
 from wickwaves.io import NumericalGateError
 from wickwaves.nls import (
     MIDPOINT_SUBSTEP,
@@ -82,8 +83,8 @@ def _fixed_point_kick(grid, coeffs, lam, tau, a):
     norm = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
     new = coeffs
     for _ in range(200):
-        nxt = coeffs - 1j * lam * tau * nls._projected_cubic(
-            grid, 0.5 * (coeffs + new), a)
+        nxt = coeffs - 1j * lam * tau * wick_power_coeffs(
+            grid, 0.5 * (coeffs + new), 3, a, real=False)
         delta = np.sqrt(np.sum(np.abs(nxt - new) ** 2, axis=(-2, -1)))
         new = nxt
         if np.all(delta <= 1e-15 * norm):

@@ -210,8 +210,9 @@ def test_evolve_records_times(wave_grid):
         for (_, snap), (_, k) in zip(snaps, want):
             assert all(map(np.array_equal, fields(snap), fields(path[k])))
         assert all(map(np.array_equal, fields(out), fields(path[-1])))
+    # each row: t_final and record times that evolve must refuse
     st, cfg = nlw_case[2], nlw_case[3]
-    with pytest.raises(ValueError):
-        evolve(st, cfg, 0.1, record_times=[0.05, 0.2])
-    with pytest.raises(ValueError):
-        evolve(st, cfg, -0.1)
+    for T, times in ((0.1, [0.05, 0.2]), (-0.1, None), (math.inf, None),
+                     (math.nan, None)):
+        with pytest.raises(ValueError):
+            evolve(st, cfg, T, record_times=times)

@@ -213,3 +213,12 @@ def test_run_chain_manifest(tiny_grid):
     assert manifest["n_samples"] == 64
     assert "acceptance_rate" in manifest
     assert "ess" in manifest
+
+
+@pytest.mark.parametrize("sampler", ["hmc", "mala"])
+def test_run_chain_rejects_zero_thinning(tiny_grid, sampler):
+    # no step between draws would make each chain's draws copies of one
+    # state; the check comes before any draw
+    spec = _spec(tiny_grid, lam=0.5)
+    with pytest.raises(ValueError, match="thinning"):
+        run_chain(spec, sampler, 8, RngStream(11, 0), thinning=0, batch=4)
