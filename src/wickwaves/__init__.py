@@ -17,10 +17,12 @@ Layers:
 - cli / io: reproducible command-line experiments and artifacts.
 
 Reproducibility: on a given platform, a seed gives bitwise the same
-results whatever the FFT worker count (the spectral plan runs on every CPU
-the process may use) and however the NLS members are batched (each member
-of an implicit-midpoint kick iterates to its own tolerance).  Across
-changes of a kernel, results are reproducible statistically, not bitwise.
+results whatever the worker count (the CPUs the process may use: FFT
+workers of the spectral plan and threads of the member groups) and however
+the members are batched and grouped over threads (members never interact,
+and each member of an implicit-midpoint kick iterates to its own
+tolerance).  Across changes of a kernel, results are reproducible
+statistically, not bitwise.
 """
 
 __version__ = "1.0.0"

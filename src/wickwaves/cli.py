@@ -11,7 +11,8 @@ value exits 2 before any draw: an unknown key, a wrong type, a value
 outside its allowed ones, or one the library rejects (it raises
 ValueError only when checking its arguments, before it samples or steps).
 WICKWAVES_SEED overrides the default seed.  CPU affinity (``taskset``)
-sets the cores the transforms use.
+sets the cores the transforms use, and the number of threads that run
+independent NLS members at once.
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def _evolve(v, flow, config):
             u[grid.kmax - k1, grid.kmax - k2] = amp / 2.0
     state = (nls_mod.NlsState(grid, u) if cplx
              else nlw_mod.WaveState(grid, u, np.zeros_like(u)))
+    if not 0 <= v["flow.T"] < math.inf:     # before linspace warns on it
+        raise ConfigError("flow.T = %r: t_final must be finite and >= 0"
+                          % v["flow.T"])
     times = np.linspace(0.0, v["flow.T"], max(v["n_records"], 2))[1:]
     _, recs = flow.evolve(state, config, v["flow.T"], record_times=list(times))
     return grid, state, recs

@@ -49,6 +49,15 @@ class NlsState:
     def copy(self):
         return NlsState(self.grid, self.u.copy())
 
+    def take(self, index):
+        """The members at `index` of the leading axis (a view)."""
+        return NlsState(self.grid, self.u[index])
+
+    @staticmethod
+    def join(states):
+        """One state of the states' members, in order."""
+        return NlsState(states[0].grid, np.concatenate([s.u for s in states]))
+
     def field(self, index=()):
         return FourierField(self.grid, self.u[index], real=False)
 
@@ -170,7 +179,7 @@ def evolve(state: NlsState, cfg: NlsConfig, t_final, record_times=None):
     """Integrate to t_final with steps of cfg.dt (last step shortened to
     land exactly); optionally returns snapshots at the requested times."""
     return _timeloop.run(lambda st, _, dt: (split_step(st, cfg, dt), None),
-                         state, None, cfg.dt, t_final, record_times)
+                         state, cfg.dt, t_final, record_times, grouped=True)
 
 
 # ---------------------------------------------------------------------------

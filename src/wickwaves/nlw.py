@@ -138,8 +138,8 @@ def evolve(state: WaveState, cfg: NlwConfig, t_final, record_times=None):
     land exactly); optionally returns snapshots at the requested times.
     n steps make n + 1 cubic evaluations."""
     return _timeloop.run(lambda st, force, dt: _strang(st, force, cfg, dt),
-                         state, _force(state, cfg), cfg.dt, t_final,
-                         record_times)
+                         state, cfg.dt, t_final, record_times,
+                         start=lambda st: _force(st, cfg))
 
 
 def hamiltonian(state: WaveState, cfg: NlwConfig):

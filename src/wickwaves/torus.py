@@ -25,6 +25,11 @@ are identically zero.
 It runs on every CPU the process may use (its affinity mask); each 1-D
 transform is computed alike whatever the worker count, so the results do
 not depend on it.
+
+:func:`map_groups` runs a function on contiguous groups of the members of
+a batch, on the calling thread and ``WORKERS - 1`` pool threads; the NLS
+time loop uses it, because its members never interact.  A group's
+transforms run on one FFT worker each.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import functools
 import io
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,9 +236,100 @@ def project(f: FourierField, radius):
 # ---------------------------------------------------------------------------
 # the spectral plan: alias-free padded transforms
 
-# scipy.fft workers of every plan: the CPUs this process may run on
+# threads of map_groups and scipy.fft workers of a plan outside a group:
+# the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
+
+# Members per group of map_groups.  The members of an NLS midpoint kick
+# iterate to their own tolerances, so groups take unequal times, and the
+# threads can only even out at a group boundary: with 64 members in groups
+# of 8, the last group can leave one thread idle for as long as an eighth
+# of the batch's work takes.  Groups of 2 keep that small, at some speed
+# (see CHANGES.md).
+GROUP = 2
+
+_local = threading.local()      # .grouped: this thread is running a group
+_pool_lock = threading.Lock()
+_pool = None
+
+
+def _fft_workers():
+    """scipy.fft workers of a transform: one inside a member group, whose
+    threads already share the CPUs, and WORKERS outside."""
+    return 1 if getattr(_local, "grouped", False) else WORKERS
+
+
+def _helpers():
+    """The WORKERS - 1 pool threads of map_groups, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(WORKERS - 1, 1),
+                                       thread_name_prefix="wickwaves-group")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_groups(fn, n):
+    """[fn(group) ...] over the contiguous slices of GROUP members that
+    split a batch of n independent members, in member order.
+
+    The calling thread and WORKERS - 1 pool threads each take the next
+    group until none is left; inside a group every transform runs on one
+    FFT worker.  When WORKERS is 1, when the batch fits one group, or when
+    called from inside a group, fn runs once, inline, on the whole batch.
+    fn must depend only on its own members, and must set numpy's error
+    state (np.errstate) itself, since it does not reach the pool threads.
+    When a group raises, groups not yet started are skipped and, once
+    every running group has stopped, the exception of the first failed
+    group is raised as it is."""
+    if WORKERS == 1 or n <= GROUP or getattr(_local, "grouped", False):
+        return [fn(slice(0, n))]
+    groups = [slice(lo, min(lo + GROUP, n)) for lo in range(0, n, GROUP)]
+    out, errors = [None] * len(groups), [None] * len(groups)
+    todo = iter(range(len(groups)))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def drain():
+        _local.grouped = True
+        try:
+            while not stop.is_set():
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    out[i] = fn(groups[i])
+                except BaseException as exc:
+                    errors[i] = exc
+                    stop.set()
+        finally:
+            _local.grouped = False
+
+    pool = _helpers()
+    helpers = [pool.submit(drain)
+               for _ in range(min(WORKERS, len(groups)) - 1)]
+    try:
+        drain()
+        for h in helpers:
+            h.result()
+    except BaseException:
+        stop.set()
+        raise
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
 
 
 class SpectralPlan:
@@ -250,6 +348,10 @@ class SpectralPlan:
     over the stored columns and one pass over every row along axis -1
     (`irfft` for real fields); the forward transform mirrors it.  Both
     scale with norm="forward", so the inverse is the bare Fourier sum.
+
+    A cached plan is shared by every caller and thread: its arrays are
+    read-only, and each call allocates its own buffers.  Inside a member
+    group (map_groups) a call runs one FFT worker, else WORKERS.
     """
 
     def __init__(self, grid, real, P):
@@ -266,7 +368,6 @@ class SpectralPlan:
         self.col_slices = ((slice(0, kmax + 1),) if real else
                            (slice(0, kmax + 1), slice(P - kmax, P)))
         self.ball = grid.ball_mask()
-        # a cached plan is shared by every caller
         for arr in (self.rows, self.cols, self.ball):
             arr.flags.writeable = False
 
@@ -296,7 +397,7 @@ class SpectralPlan:
         for sl in self.col_slices:
             view = spec[..., sl]
             out = transform(view, axis=-2, norm="forward", overwrite_x=True,
-                            workers=WORKERS)
+                            workers=_fft_workers())
             if not np.shares_memory(out, view):
                 view[...] = out
 
@@ -319,9 +420,9 @@ class SpectralPlan:
         self._column_pass(sfft.ifft, buf)
         if self.real:
             return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
-                              overwrite_x=True, workers=WORKERS)
+                              overwrite_x=True, workers=_fft_workers())
         return sfft.ifft(buf, axis=-1, norm="forward", overwrite_x=True,
-                         workers=WORKERS)
+                         workers=_fft_workers())
 
     def from_grid(self, samples, parts=None, radius=None):
         """Centred band coefficients (..., nk, nk) of P x P samples, zero
@@ -329,7 +430,8 @@ class SpectralPlan:
         float64 parts (..., n) at those positions of the stored spectrum
         instead (see to_grid)."""
         row_pass = sfft.rfft if self.real else sfft.fft
-        spec = row_pass(samples, axis=-1, norm="forward", workers=WORKERS)
+        spec = row_pass(samples, axis=-1, norm="forward",
+                        workers=_fft_workers())
         self._column_pass(sfft.fft, spec)
         band = spec[..., self.rows[:, None], self.cols]
         if parts is not None:

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from wickwaves import torus
 from wickwaves.torus import (
     FourierField,
     GridMismatchError,
@@ -14,6 +18,7 @@ from wickwaves.torus import (
     hermitian_symmetrize,
     is_hermitian,
     lp_block,
+    map_groups,
     project,
     read_snapshot,
     snapshot_bytes,
@@ -155,3 +160,42 @@ def test_spectral_plan_round_trip_and_cubic(L, M, K, P, real, batch, gen):
     for cb, got in zip(c.reshape((-1, grid.nk, grid.nk)), cubic):
         want = convolution_power_oracle(FourierField(grid, cb, real), 3).coeffs
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_map_groups_runs_every_group_once_in_order(monkeypatch):
+    # a pool of its own with more threads than a 2-core box has, and a
+    # thread switch every microsecond, so that a lost update of the shared
+    # group queue shows
+    monkeypatch.setattr(torus, "WORKERS", 4)
+    monkeypatch.setattr(torus, "_pool", None)
+    n = 50 * torus.GROUP + 3
+    calls, lock, out = [], threading.Lock(), []
+
+    def group(sl):
+        with lock:
+            calls.append(sl.start)
+        # nested calls run inline, on the whole batch, with one FFT worker
+        inner = map_groups(lambda s: (s, torus._fft_workers()), 2 * n)
+        return sl, inner
+
+    def stress():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out.append(map_groups(group, n))
+        finally:
+            sys.setswitchinterval(interval)
+            torus._pool.shutdown()
+
+    worker = threading.Thread(target=stress)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    starts = list(range(0, n, torus.GROUP))
+    assert sorted(calls) == starts
+    assert [sl.start for sl, _ in out[0]] == starts
+    assert [sl.stop for sl, _ in out[0]] == starts[1:] + [n]
+    assert all(inner == [(slice(0, 2 * n), 1)] for _, inner in out[0])
+    assert torus._fft_workers() == 4
+    monkeypatch.setattr(torus, "WORKERS", 1)
+    assert map_groups(lambda s: s, n) == [slice(0, n)]
