@@ -188,25 +188,33 @@ class WickColumn:
     d: float
     k: float
 
-    def shifted(self, u, a, c=None):
-        """s - c a (c defaults to the column's), a new real array."""
-        s = u.real * u.real
+    def shifted(self, u, a, c=None, out=None):
+        """s - c a (c defaults to the column's): a new real array, or, with
+        `out` (real planes of u's shape, see SpectralPlan.round_trip),
+        out[0], with a complex u's imaginary part squared in out[1]."""
+        s = np.multiply(u.real, u.real, out=None if out is None else out[0])
         if np.iscomplexobj(u):
-            s += u.imag * u.imag
+            s += (u.imag * u.imag if out is None else
+                  np.multiply(u.imag, u.imag, out=out[1]))
         s -= (self.c if c is None else c) * a
         return s
 
-    def density(self, u, j, a, overwrite=False):
+    def density(self, u, j, a, out=None):
         """The degree-j entry at samples u (degrees 0 and 1 are 1 and u);
-        with overwrite, the degree-3 entry reuses u's buffer."""
+        with `out` (see shifted), the work is done in place: degree 3 in
+        u's buffer, degrees 2 and 4 in out[0]."""
         if j not in range(5):
             raise ValueError("Wick degree j must be in 0..4")
         if j < 2:
             return u if j == 1 else np.ones_like(u)
-        s = self.shifted(u, a, 1.0 if j == 2 else None)
+        s = self.shifted(u, a, 1.0 if j == 2 else None, out)
         if j == 3:
-            return np.multiply(u, s, out=u if overwrite else None)
-        return s if j == 2 else np.square(s) - self.d * a * a
+            return np.multiply(u, s, out=None if out is None else u)
+        if j == 2:
+            return s
+        s = np.square(s, out=None if out is None else s)
+        s -= self.d * a * a
+        return s
 
 
 WICK_TABLE = {True: WickColumn(3.0, 6.0, 4.0),
@@ -217,9 +225,10 @@ def wick_power_coeffs(grid, coeffs, j, a, output_radius=None, real=True):
     """Batched Wick power: the table's entry on an alias-free grid."""
     if j not in (2, 3, 4):
         raise ValueError("Wick power j must be in {2, 3, 4}")
-    plan = spectral_plan(grid, real, j)
-    w = WICK_TABLE[real].density(plan.to_grid(coeffs), j, a, overwrite=True)
-    return plan.from_grid(w, radius=output_radius)
+    col = WICK_TABLE[real]
+    return spectral_plan(grid, real, j).round_trip(
+        coeffs, lambda u, planes: (col.density(u, j, a, planes), None),
+        radius=output_radius)[0]
 
 
 def wick_power(Z: FourierField, j, a, output_radius=None):

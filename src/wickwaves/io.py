@@ -16,6 +16,7 @@ import difflib
 import hashlib
 import json
 import os
+import resource
 import tempfile
 import time
 
@@ -158,11 +159,19 @@ class RunConfig:
 
 
 def make_manifest(config: RunConfig, seed, extra=None):
+    """The run's record: its config and hash, seed, time, and the
+    process's resource use up to this call, from getrusage (Linux reports
+    ru_maxrss in KiB), so that a rise in memory or allocation churn shows
+    in every output; the config hash does not cover it."""
+    use = resource.getrusage(resource.RUSAGE_SELF)
     man = {
         "config": config.as_dict(),
         "config_hash": config.config_hash(),
         "seed": int(seed),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "resources": {"max_rss_mb": use.ru_maxrss / 1024.0,
+                      "minor_page_faults": use.ru_minflt,
+                      "user_s": use.ru_utime, "sys_s": use.ru_stime},
     }
     if extra:
         man.update(extra)

@@ -120,20 +120,30 @@ def _midpoint_kick(grid, coeffs, lam, tau, a, tol=1e-13, max_iter=60):
     Each member iterates until its own update is at most `tol` times its
     own norm, and only the members still iterating are transformed, so a
     member's result does not depend on the batch around it.  A member not
-    converged after `max_iter` updates raises NumericalGateError.
+    converged after `max_iter` updates, or at once when its update is not
+    finite (the iteration has overflowed), raises NumericalGateError.
     """
     u = coeffs.reshape((-1,) + coeffs.shape[-2:])
     out = np.empty_like(u)
     bound = tol * tol * _sq_norms(u)
     live = np.arange(len(u))
     new = u
-    for _ in range(max_iter):
-        mid = u + new
-        mid *= 0.5
-        nxt = wick_power_coeffs(grid, mid, 3, a, real=False)
-        nxt *= -1j * lam * tau
-        nxt += u
-        done = _sq_norms(nxt - new) <= bound[live]
+    for it in range(1, max_iter + 1):
+        # an overflowing member is caught by its update's norm below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = u + new
+            mid *= 0.5
+            nxt = wick_power_coeffs(grid, mid, 3, a, real=False)
+            nxt *= -1j * lam * tau
+            nxt += u
+            update = _sq_norms(nxt - new)
+        diverged = ~np.isfinite(update)
+        if diverged.any():
+            raise NumericalGateError(
+                "implicit midpoint kick: %d member(s) not converged: "
+                "non-finite update at iteration %d"
+                % (np.count_nonzero(diverged), it))
+        done = update <= bound[live]
         new = nxt
         if done.any():
             out[live[done]] = nxt[done]

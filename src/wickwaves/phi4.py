@@ -228,16 +228,15 @@ class _DofLayout:
             ..., self._band_parts] = self._parts(dofs)
         return plan.complete(band)
 
-    def to_grid(self, dofs):
-        """The field of packed dofs on the plan's padded grid."""
-        return self.plan.to_grid(self._parts(dofs), self._band_parts)
-
-    def grad_spectrum(self, samples):
-        """Band spectrum of padded samples, packed like the dofs and
-        weighted as a gradient: volume times the pair factor, with the
-        imaginary part negated where a mode is read at -k."""
-        return self._grad_weight * self.plan.from_grid(samples,
-                                                       self._grad_parts)
+    def round_trip(self, dofs, work):
+        """The plan's round trip (SpectralPlan.round_trip) from the field of
+        packed dofs; the band spectrum of the samples `work` returns comes
+        back packed like the dofs and weighted as a gradient: volume times
+        the pair factor, with the imaginary part negated where a mode is
+        read at -k."""
+        band, value = self.plan.round_trip(self._parts(dofs), work,
+                                           self._band_parts, self._grad_parts)
+        return (None if band is None else self._grad_weight * band), value
 
 
 @functools.lru_cache(maxsize=16)
@@ -248,22 +247,28 @@ def _layout(grid, field_type):
 # ---------------------------------------------------------------------------
 # Action and gradient
 
-def _wick_quartic(spec, z, want_cubic=False):
-    """Sum over padded samples z of the Wick table's quartic density
-    (s - c a)^2 - d a^2, and its cubic (s - c a) z, whose band spectrum is
-    the density's gradient over k, when want_cubic (else None)."""
+def _wick_quartic(spec, want_cubic=False):
+    """Pointwise work for a round trip: the sum over padded samples z of
+    the Wick table's quartic density (s - c a)^2 - d a^2 and, when
+    want_cubic, its cubic (s - c a) z, written over z, whose band spectrum
+    is the density's gradient over k."""
     a, wick = spec.a, spec.wick
-    y = wick.shifted(z, a)
-    total = np.sum(np.square(y), axis=(-2, -1)) \
-        - wick.d * a * a * z.shape[-1] ** 2
-    return total, (y * z if want_cubic else None)
+
+    def work(z, planes):
+        y = wick.shifted(z, a, out=planes)
+        if want_cubic:
+            z *= y
+        total = np.sum(np.square(y, out=planes[-1]), axis=(-2, -1)) \
+            - wick.d * a * a * z.shape[-1] ** 2
+        return (z if want_cubic else None), total
+    return work
 
 
 def quartic_integral(spec: MeasureSpec, coeffs):
     """int (u^4 - 6a u^2 + 3a^2) dx (real) or the |u|^4 analogue (complex),
     exact via alias-free quadrature; batched over leading axes."""
     plan = spectral_plan(spec.grid, spec.field_type == REAL_FIELD)
-    return _wick_quartic(spec, plan.to_grid(coeffs))[0] \
+    return plan.round_trip(coeffs, _wick_quartic(spec))[1] \
         * (spec.grid.L / plan.P) ** 2
 
 
@@ -280,12 +285,12 @@ def _action_and_gradient(spec, dofs, want_gradient=True):
     both the quartic integral and the cubic gradient term."""
     lay = _layout(spec.grid, spec.field_type)
     curv = lay.gauss_curvature(spec.m)
-    quart, cubic = _wick_quartic(spec, lay.to_grid(dofs), want_gradient)
+    cubic, quart = lay.round_trip(dofs, _wick_quartic(spec, want_gradient))
     s = 0.5 * np.sum(curv * dofs * dofs, axis=-1) \
         + spec.q * (spec.grid.L / lay.plan.P) ** 2 * quart
     if not want_gradient:
         return s, None
-    return s, curv * dofs + spec.wick.k * spec.q * lay.grad_spectrum(cubic)
+    return s, curv * dofs + spec.wick.k * spec.q * cubic
 
 
 def action_gradient(u, spec: MeasureSpec):
@@ -498,6 +503,11 @@ def hmc_step(state: ChainState, eps, n_leap=10, flip_prob=0.5):
     |u|^2), so a global sign flip is an exact symmetry; applying it with
     probability flip_prob after each trajectory equalizes the weights of
     the two magnetization branches for odd observables at no cost.
+
+    The leapfrog updates its position and momentum in place, through one
+    kick buffer, with the arithmetic of the out-of-place updates
+    x + (eps p) / M and p - (eps g) term by term, so it allocates no array
+    per leapfrog step beyond the action and gradient themselves.
     """
     if eps <= 0:
         raise ValueError("leapfrog step eps must be positive")
@@ -512,15 +522,17 @@ def hmc_step(state: ChainState, eps, n_leap=10, flip_prob=0.5):
 
     p = np.sqrt(mass) * gen.standard_normal(x.shape)
     h0 = s0 + 0.5 * np.sum(p * p / mass, axis=-1)
-    xq, g = x, g0
+    xq, g = x.copy(), g0
+    kick = np.empty_like(p)
     # diverging trajectories produce overflows that the Metropolis step
     # rejects below; silence the transient warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        p = p - 0.5 * eps * g
+        p -= np.multiply(0.5 * eps, g, out=kick)
         for i in range(n_leap):
-            xq = xq + eps * p / mass
+            xq += np.divide(np.multiply(eps, p, out=kick), mass, out=kick)
             s1, g = _action_and_gradient(spec, xq)
-            p = p - (eps if i < n_leap - 1 else 0.5 * eps) * g
+            p -= np.multiply(eps if i < n_leap - 1 else 0.5 * eps, g,
+                             out=kick)
         h1 = s1 + 0.5 * np.sum(p * p / mass, axis=-1)
 
     finite = np.isfinite(h1)
@@ -567,6 +579,10 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
     that does not depend on the current value of w — and accepted with
     the Metropolis-Hastings ratio computed from the exact action, so
     the move leaves the target measure exactly invariant.
+
+    The proposal is evaluated with its gradient, so the chains leave with
+    their action and gradient cached for the next trajectory: the
+    proposal's where accepted, the incoming ones where rejected.
     """
     spec = state.spec
     gen = state.generator()
@@ -629,16 +645,16 @@ def zero_mode_gibbs_step(state: ChainState, n_grid=2049, reach=6.0):
     with np.errstate(divide="ignore"):
         logq1 = np.log(wgt[idx, cols])
         logq0 = np.where(inside, np.log(wgt[idx0, cols]), -np.inf)
-    if state._cache is not None:
-        s_cur = np.atleast_1d(state._cache[0])
-    else:
-        s_cur = np.atleast_1d(
-            _action_and_gradient(spec, dofs, want_gradient=False)[0])
-    s_new = action_at(v_perp + w1 * e)
+    if state._cache is None:
+        state._cache = _action_and_gradient(spec, dofs)
+    s_cur, g_cur = state._cache
+    prop = with_zero_mode(v_perp + w1 * e)
+    s_new, g_new = _action_and_gradient(spec, prop)
     log_alpha = (s_cur - s_new) + (logq0 - logq1)
     accept = np.log(gen.random(batch)) < log_alpha
-    state.dofs = with_zero_mode(np.where(accept, v_perp + w1 * e, v))
-    state._cache = None
+    state.dofs = np.where(accept[:, None], prop, dofs)
+    state._cache = (np.where(accept, s_new, s_cur),
+                    np.where(accept[:, None], g_new, g_cur))
     state.step_count += 1
     return state
 
@@ -757,8 +773,11 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         samples[i] = state.coeffs()
     from .stats import integrated_autocorr_time
     if per_chain >= 4:
-        # effective sample size from the thinned per-chain probe series
-        probe_series = np.sum(np.abs(samples) ** 2, axis=(-2, -1))
+        # effective sample size from the thinned per-chain probe series,
+        # draw by draw: |samples|^2 at once would hold two more copies of
+        # every draw at the run's memory peak
+        probe_series = np.array([np.sum(np.abs(s) ** 2, axis=(-2, -1))
+                                 for s in samples])
         taus = [integrated_autocorr_time(probe_series[:, b])
                 for b in range(min(batch, 16))]
         ess = n_samples / (2.0 * float(np.mean(taus)))

@@ -30,12 +30,26 @@ not depend on it.
 a batch, on the calling thread and ``WORKERS - 1`` pool threads; the NLS
 time loop uses it, because its members never interact.  A group's
 transforms run on one FFT worker each.
+
+:meth:`SpectralPlan.round_trip` (padded samples, pointwise work in place,
+back to the band) runs in a work buffer that each thread keeps per plan,
+so that the action, its gradient and the flow forces allocate no padded
+array of the batch's size from call to call.  The buffer holds the padded
+spectrum of the current batch and real sample planes for the pointwise
+work of one block of members (BLOCK_BYTES of samples; one plane for a
+real plan, two for a complex one).  It belongs to the plan and the
+thread, is zeroed in place on every call and is never returned; a call
+with another batch shape replaces it.  Per thread and plan it takes
+batch * P * (P//2 + 1) * 16 bytes for a real plan or batch * P * P * 16
+for a complex one, plus up to 1 MiB per plane: 10 MB and 20 MB at batch
+64 on the L=4, K=8 grid (P=132).
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import os
 import struct
 import threading
@@ -249,6 +263,14 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # (see CHANGES.md).
 GROUP = 2
 
+# Bytes of real samples per block of members in SpectralPlan.round_trip.
+# scipy's row passes of a real plan return new arrays (scipy.fft has no
+# out=).  Blocks keep them near 1 MB, which glibc's allocator reuses from
+# call to call; at 2 MB and above, a fresh process gave the memory back
+# and faulted it in again on every block (about 29,000 minor faults per
+# batch-64 HMC trajectory on the L=4, K=8 grid, see CHANGES.md).
+BLOCK_BYTES = 1 << 20
+
 _local = threading.local()      # .grouped: this thread is running a group
 _pool_lock = threading.Lock()
 _pool = None
@@ -350,8 +372,10 @@ class SpectralPlan:
     scale with norm="forward", so the inverse is the bare Fourier sum.
 
     A cached plan is shared by every caller and thread: its arrays are
-    read-only, and each call allocates its own buffers.  Inside a member
-    group (map_groups) a call runs one FFT worker, else WORKERS.
+    read-only.  `to_grid` and `from_grid` return arrays of their own;
+    `round_trip` works in the calling thread's work buffer of this plan
+    (see the module docstring).  Inside a member group (map_groups) a call
+    runs one FFT worker, else WORKERS.
     """
 
     def __init__(self, grid, real, P):
@@ -370,6 +394,9 @@ class SpectralPlan:
         self.ball = grid.ball_mask()
         for arr in (self.rows, self.cols, self.ball):
             arr.flags.writeable = False
+        # .buf, .shape: this thread's work buffer and the (batch shape,
+        # members per block) it serves; .busy: in a round trip
+        self._local = threading.local()
 
     def index(self, k1, k2):
         """Flat positions of modes (k1, k2) in the stored spectrum; a real
@@ -391,6 +418,19 @@ class SpectralPlan:
         return np.concatenate((np.conj(stored[..., ::-1, :0:-1]), col0,
                                stored[..., 1:]), axis=-1)
 
+    def _padded(self, parts):
+        """Positions in the padded spectrum, read as float64 pairs, of the
+        stored-spectrum `parts` (see to_grid)."""
+        entry, col = np.divmod(parts // 2, self.ncols)
+        return 2 * (self.rows[entry] * self.width + self.cols[col]) \
+            + parts % 2
+
+    @staticmethod
+    def _floats(spec):
+        """A contiguous padded spectrum (..., P, width) as float64 pairs
+        (..., 2 * P * width), a view."""
+        return spec.reshape(spec.shape[:-2] + (-1,)).view(np.float64)
+
     def _column_pass(self, transform, spec):
         """The pass along axis -2, over the stored columns only, in place
         (scipy writes a strided view in place when asked to overwrite)."""
@@ -401,6 +441,39 @@ class SpectralPlan:
             if not np.shares_memory(out, view):
                 view[...] = out
 
+    def _scatter(self, spec, values, parts):
+        """Place `values` (see to_grid) in the zeroed padded spectrum."""
+        if parts is None:
+            spec[..., self.rows[:, None], self.cols] = self.stored(values)
+        else:
+            self._floats(spec)[..., self._padded(parts)] = values
+
+    def _row_inverse(self, spec):
+        """The inverse pass along axis -1, consuming `spec`; a complex
+        plan's samples are `spec` itself."""
+        if self.real:
+            return sfft.irfft(spec, n=self.P, axis=-1, norm="forward",
+                              overwrite_x=True, workers=_fft_workers())
+        return sfft.ifft(spec, axis=-1, norm="forward", overwrite_x=True,
+                         workers=_fft_workers())
+
+    def _row_forward(self, samples, overwrite):
+        """The forward pass along axis -1; with `overwrite`, a complex
+        plan transforms complex samples in place."""
+        row_pass = sfft.rfft if self.real else sfft.fft
+        return row_pass(samples, axis=-1, norm="forward",
+                        overwrite_x=overwrite, workers=_fft_workers())
+
+    def _band(self, spec):
+        """The stored band (..., nk, ncols) of a padded spectrum, a copy."""
+        return spec[..., self.rows[:, None], self.cols]
+
+    def _centred(self, band, radius):
+        """Centred coefficients of a stored band, zero outside |n| <=
+        radius (default: the cutoff K)."""
+        ball = self.ball if radius is None else self.grid.ball_mask(radius)
+        return np.where(ball, self.complete(band), 0.0)
+
     def to_grid(self, values, parts=None):
         """Samples on the P x P grid (real-valued for a real plan).
 
@@ -409,49 +482,117 @@ class SpectralPlan:
         spectrum read as float64 pairs: the real part of entry j at 2j,
         its imaginary part at 2j + 1."""
         lead = values.shape[:-2] if parts is None else values.shape[:-1]
-        buf = np.zeros(lead + (self.P, self.width), dtype=np.complex128)
-        if parts is None:
-            buf[..., self.rows[:, None], self.cols] = self.stored(values)
-        else:
-            entry, col = np.divmod(parts // 2, self.ncols)
-            padded = 2 * (self.rows[entry] * self.width + self.cols[col]) \
-                + parts % 2
-            buf.reshape(lead + (-1,)).view(np.float64)[..., padded] = values
-        self._column_pass(sfft.ifft, buf)
-        if self.real:
-            return sfft.irfft(buf, n=self.P, axis=-1, norm="forward",
-                              overwrite_x=True, workers=_fft_workers())
-        return sfft.ifft(buf, axis=-1, norm="forward", overwrite_x=True,
-                         workers=_fft_workers())
+        spec = np.zeros(lead + (self.P, self.width), dtype=np.complex128)
+        self._scatter(spec, values, parts)
+        self._column_pass(sfft.ifft, spec)
+        return self._row_inverse(spec)
 
     def from_grid(self, samples, parts=None, radius=None):
         """Centred band coefficients (..., nk, nk) of P x P samples, zero
         outside |n| <= radius (default: the cutoff K); with `parts`, the
         float64 parts (..., n) at those positions of the stored spectrum
         instead (see to_grid)."""
-        row_pass = sfft.rfft if self.real else sfft.fft
-        spec = row_pass(samples, axis=-1, norm="forward",
-                        workers=_fft_workers())
+        spec = self._row_forward(samples, overwrite=False)
         self._column_pass(sfft.fft, spec)
-        band = spec[..., self.rows[:, None], self.cols]
         if parts is not None:
-            flat = np.ascontiguousarray(band).reshape(band.shape[:-2] + (-1,))
-            return flat.view(np.float64)[..., parts]
-        ball = self.ball if radius is None else self.grid.ball_mask(radius)
-        return np.where(ball, self.complete(band), 0.0)
+            return self._floats(spec)[..., self._padded(parts)]
+        return self._centred(self._band(spec), radius)
+
+    def round_trip(self, values, work, parts=None, out_parts=None,
+                   radius=None):
+        """(from_grid(w, out_parts, radius), value) for
+        (w, value) = work(u, planes) and u = to_grid(values, parts), or
+        (None, value) when work returns w = None; equal bit for bit.
+
+        The transforms run in this thread's work buffer.  The inverse
+        column pass takes the whole batch; the row passes, `work` and the
+        forward column pass take it one block of BLOCK_BYTES of samples at
+        a time, so nothing the size of the batch's samples is allocated.
+        `work` gets the samples u (m, P, P) of a block of m members, which
+        it may change in place, and `planes`, real work arrays (k, m, P, P)
+        that aliases nothing a caller holds: k = 1 for a real plan and 2
+        for a complex one.  It returns w, the samples to transform back
+        (u, a plane, or an array of its own), and value, None or an array
+        (m,) per member; the values of all members come back in the shape
+        of the batch.  Neither u nor a plane may outlive the call, and
+        `work` may not enter a round trip of this plan on this thread
+        (RuntimeError)."""
+        loc = self._local
+        if getattr(loc, "busy", False):
+            raise RuntimeError("SpectralPlan.round_trip entered again from "
+                               "its own work on one thread")
+        loc.busy = True
+        try:
+            lead = values.shape[:-2] if parts is None else values.shape[:-1]
+            spec, planes = self._work_buffer(lead)
+            self._scatter(spec, values, parts)
+            self._column_pass(sfft.ifft, spec)
+            members = spec.reshape((-1, self.P, self.width))
+            # the band of a block goes to the head of the spectrum, which
+            # ends before the spectra of the blocks still to come
+            band = spec.reshape(-1)[:len(members) * self.nk * self.ncols] \
+                .reshape((-1, self.nk, self.ncols))
+            if out_parts is not None:
+                out_parts = self._padded(out_parts)
+                result = np.empty((len(members), len(out_parts)))
+            back, value = False, []
+            # once at least, so that an empty batch gives empty results
+            for lo in range(0, max(len(members), 1), len(planes[0])):
+                block = members[lo:lo + len(planes[0])]
+                w, v = work(self._row_inverse(block), planes[:, :len(block)])
+                value.append(v)
+                if w is None:
+                    continue
+                back = True
+                out = self._row_forward(w, overwrite=True)
+                self._column_pass(sfft.fft, out)
+                if out_parts is None:
+                    band[lo:lo + len(block)] = self._band(out)
+                else:
+                    result[lo:lo + len(block)] = \
+                        self._floats(out)[..., out_parts]
+            value = None if value[0] is None else \
+                np.concatenate(value).reshape(lead)
+            if not back:
+                return None, value
+            if out_parts is not None:
+                return result.reshape(lead + result.shape[1:]), value
+            return self._centred(band.reshape(lead + band.shape[1:]),
+                                 radius), value
+        finally:
+            loc.busy = False
+
+    def _work_buffer(self, lead):
+        """This thread's work buffer for a batch of shape `lead`: its padded
+        spectrum, zeroed, and the sample planes of one block."""
+        loc = self._local
+        block = max(1, min(BLOCK_BYTES // (8 * self.P * self.P),
+                           math.prod(lead)))
+        if getattr(loc, "shape", None) != (lead, block):
+            loc.buf = None          # let the old buffer go first
+            loc.buf = (
+                np.empty(lead + (self.P, self.width), np.complex128),
+                np.empty((1 if self.real else 2, block, self.P, self.P)))
+            loc.shape = (lead, block)
+        loc.buf[0].fill(0.0)
+        return loc.buf
 
 
-@functools.lru_cache(maxsize=64)
 def spectral_plan(grid, real=True, degree=3):
     """The cached alias-free plan for products of `degree` factors."""
     P = sfft.next_fast_len(max((degree + 1) * grid.kmax + 2, 4))
-    return SpectralPlan(grid, real, int(P))
+    return _plan(grid, bool(real), int(P))
 
 
-@functools.lru_cache(maxsize=16)
 def grid_plan(grid, real=True):
     """The cached plan on the grid's own M x M points."""
-    return SpectralPlan(grid, real, grid.M)
+    return _plan(grid, bool(real), grid.M)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(grid, real, P):
+    """One plan, and so one work buffer per thread, per (grid, real, P)."""
+    return SpectralPlan(grid, real, P)
 
 
 def dealiased_product_arrays(grid, coeff_list, output_radius=None, real=True):

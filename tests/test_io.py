@@ -9,6 +9,7 @@ from wickwaves.io import (
     OutputSet,
     RunConfig,
     fmt_float,
+    make_manifest,
     parse_config_text,
     write_csv,
     write_json,
@@ -85,3 +86,15 @@ def test_output_set_discard(tmp_path):
     assert not os.path.exists(p1) and not os.path.exists(p2)
     # no stray temp files left behind
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_records_resource_use():
+    cfg = RunConfig({"grid.L": "2"})
+    man = make_manifest(cfg, 5)
+    use = man["resources"]
+    assert set(use) == {"max_rss_mb", "minor_page_faults", "user_s",
+                        "sys_s"}
+    assert use["max_rss_mb"] > 0 and use["minor_page_faults"] > 0
+    assert use["user_s"] > 0 and use["sys_s"] >= 0
+    # the config hash covers the config alone
+    assert man["config_hash"] == cfg.config_hash()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ def test_midpoint_kick_raises_when_not_converged(nls_grid):
     u = random_state(nls_grid, 9).u
     with pytest.raises(NumericalGateError, match="not converged"):
         nls._midpoint_kick(nls_grid, u, 1.0, 0.005, 0.4, max_iter=2)
+
+
+def test_midpoint_kick_stops_an_overflowing_member_at_once(nls_grid,
+                                                          monkeypatch):
+    # one member of 19 scaled by 10 overflows within a few iterations; the
+    # kick raises at the first non-finite update, without a numpy warning
+    u = sample_complex_gff_coeffs(nls_grid, 1.0, RngStream(10, 0), size=19)
+    u[7] *= 10.0
+    cubics = []
+
+    def counted(*args, **kwargs):
+        cubics.append(1)
+        return wick_power_coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(nls, "wick_power_coeffs", counted)
+    cfg = NlsConfig(1.0, 1.0, 0.01, substep=MIDPOINT_SUBSTEP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalGateError, match="non-finite"):
+            split_step(NlsState(nls_grid, u), cfg)
+    # 6 iterations here, against 60 before the first-non-finite stop
+    assert len(cubics) < 20
 
 
 def test_phase_substep_smooth_data(nls_grid):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from wickwaves.gaussian import RngStream, wick_constant_lattice
 from wickwaves.phi4 import (
     COMPLEX_FIELD,
+    REAL_FIELD,
     MeasureSpec,
     _action_and_gradient,
     action,
@@ -20,8 +24,9 @@ from wickwaves.phi4 import (
     tune_hmc_step,
     tune_step_size,
     unpack_dofs,
+    zero_mode_gibbs_step,
 )
-from wickwaves.torus import TorusGrid
+from wickwaves.torus import TorusGrid, spectral_plan
 
 
 @pytest.fixture
@@ -222,3 +227,90 @@ def test_run_chain_rejects_zero_thinning(tiny_grid, sampler):
     spec = _spec(tiny_grid, lam=0.5)
     with pytest.raises(ValueError, match="thinning"):
         run_chain(spec, sampler, 8, RngStream(11, 0), thinning=0, batch=4)
+
+
+# the criterion-6 grid (L=4, K=8, P=132): big enough that the padded
+# samples of a batch dwarf everything else a gradient call allocates
+CRITERION6_GRID = TorusGrid(4.0, 132, 8.0)
+
+
+@pytest.mark.parametrize("field", [REAL_FIELD, COMPLEX_FIELD])
+def test_action_and_gradient_allocation_budget(field):
+    # after a warm-up call, one call allocates less than twice the padded
+    # spectrum of its batch: scipy's row-pass outputs of one block of
+    # members, the packed dofs and the gradient; no batch-sized padded
+    # temporaries (about three spectra before the work buffer)
+    batch = 16
+    spec = MeasureSpec(CRITERION6_GRID, m=1.0, lam=1.0, field_type=field)
+    dofs = init_chain(spec, RngStream(3, 0), batch=batch).dofs
+    plan = spectral_plan(CRITERION6_GRID, field == REAL_FIELD)
+    padded = batch * plan.P * plan.width * 16
+    _action_and_gradient(spec, dofs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _action_and_gradient(spec, dofs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * padded
+
+
+@pytest.mark.parametrize("field", [REAL_FIELD, COMPLEX_FIELD])
+def test_zero_mode_move_leaves_action_and_gradient_cached(field):
+    grid = TorusGrid(2.0, 32, 3.0)
+    spec = MeasureSpec(grid, m=1.0, lam=1.0, field_type=field)
+    state = init_chain(spec, RngStream(4, 0), batch=16)
+    hmc_step(state, 0.1)
+    # a zero mode far outside the move's bracket is always kept: chains
+    # 0-3 are rejected, and the move computes their incoming cache itself
+    c = np.zeros((grid.nk, grid.nk), complex)
+    c[grid.kmax, grid.kmax] = 50.0 + (50.0j if field == COMPLEX_FIELD else 0)
+    far = pack_dofs(spec, c)
+    state.dofs[:4, far != 0] = far[far != 0]
+    state._cache = None
+    moved = []
+    for _ in range(3):
+        before = state.dofs.copy()
+        zero_mode_gibbs_step(state)
+        s, g = _action_and_gradient(spec, state.dofs)
+        assert np.array_equal(state._cache[0], s)
+        assert np.array_equal(state._cache[1], g)
+        moved.append(np.any(state.dofs != before, axis=-1))
+    # both accepted and rejected chains were checked
+    assert 0 < np.count_nonzero(moved) < np.size(moved)
+
+
+def test_gradients_on_two_threads_equal_serial_ones():
+    # each thread has its own work buffer: two threads evaluating batches
+    # of different sizes at once, switching every microsecond, get the
+    # serial results bit for bit
+    grid = TorusGrid(2.0, 32, 3.0)
+    specs = [MeasureSpec(grid, m=1.0, lam=1.0, field_type=f)
+             for f in (REAL_FIELD, COMPLEX_FIELD)]
+    jobs = [(spec, init_chain(spec, RngStream(6, n), batch=n).dofs)
+            for spec in specs for n in (3, 5)]
+    want = [_action_and_gradient(spec, dofs) for spec, dofs in jobs]
+    got = [[], []]
+
+    def run(k):
+        for _ in range(20):
+            for spec, dofs in jobs[k::2]:
+                got[k].append(_action_and_gradient(spec, dofs))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in (0, 1):
+        assert len(got[k]) == 20 * len(jobs[k::2])
+        for i, (s, g) in enumerate(got[k]):
+            ws, wg = want[k + 2 * (i % len(jobs[k::2]))]
+            assert np.array_equal(s, ws) and np.array_equal(g, wg)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,96 @@ def test_spectral_plan_round_trip_and_cubic(L, M, K, P, real, batch, gen):
     for cb, got in zip(c.reshape((-1, grid.nk, grid.nk)), cubic):
         want = convolution_power_oracle(FourierField(grid, cb, real), 3).coeffs
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _shifted_cubic(u, planes):
+    """Round-trip work: s = |u|^2 - 0.3 in a plane, u <- s u, and the sum
+    of s per member."""
+    s = np.multiply(u.real, u.real, out=planes[0])
+    if np.iscomplexobj(u):
+        s += np.multiply(u.imag, u.imag, out=planes[1])
+    s -= 0.3
+    u *= s
+    return u, np.sum(s, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("block_members", [1, 2, None])
+def test_round_trip_equals_to_grid_then_from_grid(monkeypatch, gen, real,
+                                                  lead, packed,
+                                                  block_members):
+    # bit for bit, whatever the blocks the batch is cut into
+    grid = TorusGrid(2.0, 32, 3.0)
+    plan = torus.SpectralPlan(grid, real, 27)
+    if block_members is not None:
+        monkeypatch.setattr(torus, "BLOCK_BYTES", 8 * 27 * 27 * block_members)
+    if packed:
+        entries = np.flatnonzero(plan.stored(grid.ball_mask()).ravel())
+        parts = np.concatenate((2 * entries, 2 * entries + 1))
+        values = gen.standard_normal(lead + parts.shape)
+        out_parts, radius = parts[::3], None
+    else:
+        values = np.where(grid.ball_mask(),
+                          gen.standard_normal(lead + (grid.nk, grid.nk))
+                          + 1j * gen.standard_normal(lead + (grid.nk, grid.nk)),
+                          0.0)
+        parts, out_parts, radius = None, None, 2.0
+    u = plan.to_grid(values, parts)
+    s = u.real * u.real
+    if not real:
+        s += u.imag * u.imag
+    s -= 0.3
+    want = plan.from_grid(u * s, out_parts, radius)
+    got, total = plan.round_trip(values, _shifted_cubic, parts, out_parts,
+                                 radius)
+    assert np.array_equal(got, want)
+    assert np.array_equal(total, np.sum(s, axis=(-2, -1)))
+    assert np.shape(total) == lead
+    # without samples back there is no forward transform
+    none, again = plan.round_trip(values, lambda u, planes: (
+        None, _shifted_cubic(u, planes)[1]), parts)
+    assert none is None and np.array_equal(again, total)
+
+
+def test_round_trip_keeps_one_buffer_per_plan_and_thread(gen):
+    grid = TorusGrid(2.0, 32, 3.0)
+    plan = torus.SpectralPlan(grid, True, 64)
+    batches = [np.zeros((n, grid.nk, grid.nk), complex) for n in (3, 5)]
+
+    def buffer_bytes(n):
+        # the padded spectrum and one real plane per member
+        return n * 64 * (plan.width * 16 + 64 * 8)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for c in batches * 3:
+            plan.round_trip(c, lambda u, planes: (u, None))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # the last batch's buffer, not one per batch shape seen
+    assert buffer_bytes(5) <= held < buffer_bytes(5) + buffer_bytes(3) // 2
+
+
+def test_round_trip_refuses_nested_use(small_grid, gen):
+    plan = spectral_plan(small_grid)
+    c = random_real_field(small_grid, gen).coeffs
+
+    def identity(u, planes):
+        return u, None
+
+    def nested(u, planes):
+        plan.round_trip(c, identity)
+        return u, None
+
+    with pytest.raises(RuntimeError, match="entered again"):
+        plan.round_trip(c, nested)
+    # the plan serves the next call
+    assert np.array_equal(plan.round_trip(c, identity)[0],
+                          plan.from_grid(plan.to_grid(c)))
 
 
 def test_map_groups_runs_every_group_once_in_order(monkeypatch):
