@@ -5,10 +5,10 @@ truncation.
 Layers:
 
 - torus: grids, band-limited fields, the spectral plan (alias-free padded
-  transforms), dealiased products, Littlewood-Paley blocks.
+  transforms), dealiased products, the Littlewood-Paley partition.
 - gaussian: free-field and white-noise sampling, Wick renormalization
   constants and Wick powers.
-- besov: weighted Besov/Sobolev norms and randomized inequality audits.
+- besov: weighted Besov norms and randomized inequality audits.
 - phi4: the quartic Gibbs measure and its exact samplers (HMC, MALA,
   rejection).
 - nlw / nls: truncated Wick-ordered cubic wave and Schrodinger flows.

@@ -16,7 +16,6 @@ window translates until the tail falls below 1e-12 of the total.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
@@ -167,14 +166,6 @@ def besov_norm(f, params: BesovParams, w: WeightSpec = WeightSpec(),
                                   periodic_extension))
 
 
-def sobolev_norm_array(grid, coeffs, s):
-    """H^s norm computed directly from coefficients: independent of the
-    Littlewood-Paley machinery; used as a cross-check and for cheap
-    ensemble observables.  ||f||^2 = L^2 sum (1+|n|^2)^s |c(n)|^2."""
-    wgt = (1.0 + grid.mode_nsq()) ** s
-    return grid.L * np.sqrt(np.sum(wgt * np.abs(coeffs) ** 2, axis=(-2, -1)))
-
-
 # ---------------------------------------------------------------------------
 # inequality audits
 
@@ -287,23 +278,6 @@ class AuditReport:
     @property
     def max_ratio(self):
         return max(row[3] for row in self.rows)
-
-    @property
-    def worst_trial(self):
-        return max(self.rows, key=lambda row: row[3])
-
-    def write_csv(self, fh):
-        own = isinstance(fh, (str, bytes))
-        stream = open(fh, "w", newline="") if own else fh
-        try:
-            writer = csv.writer(stream)
-            writer.writerow(["kind", "trial", "lhs", "rhs", "ratio", "seed"])
-            for trial, lhs, rhs, ratio in self.rows:
-                writer.writerow([self.kind, trial, repr(lhs), repr(rhs),
-                                 repr(ratio), self.seed])
-        finally:
-            if own:
-                stream.close()
 
 
 def inequality_audit(kind, trials, seed, grid=None):

@@ -7,9 +7,10 @@ hash.  ``KEYS`` is the reference for the config keys (type, flag, allowed
 values); each ``@_command`` lists its keys and their defaults, ``None``
 meaning the library's default.  Exit codes: 0 success, 2 config error, 3
 numerical gate failure, 4 statistical gate failure.  Every rejected config
-value exits 2 before any draw: an unknown key, a wrong type, a value
-outside its allowed ones, or one the library rejects (it raises
-ValueError only when checking its arguments, before it samples or steps).
+value exits 2 before any draw: an unknown key, a wrong type, a number
+that is not finite (only besov.p and besov.r may be inf), a value outside
+its allowed ones, or one the library rejects (it raises ValueError only
+when checking its arguments, before it samples or steps).
 WICKWAVES_SEED overrides the default seed.  CPU affinity (``taskset``)
 sets the cores the transforms use, and the number of threads that run
 independent NLS members at once.
@@ -123,6 +124,9 @@ KEYS = {
 _SCALAR = {float: RunConfig.get_float, int: RunConfig.get_int,
            str: RunConfig.get_str}
 
+# the keys that may be inf: the exponents of sup norms
+_INFINITE_OK = ("besov.p", "besov.r")
+
 # name -> (body, {key: default}); filled by @_command in parser order
 COMMANDS = {}
 
@@ -137,7 +141,8 @@ def _command(name, defaults):
 
 
 def _value(cfg, key):
-    """A given key's typed value, checked against its allowed values."""
+    """A given key's typed value, checked against its allowed values; a
+    number must be finite, except +inf for the keys in _INFINITE_OK."""
     spec = KEYS[key]
     if spec.type in _SCALAR:
         value = _SCALAR[spec.type](cfg, key)
@@ -148,6 +153,10 @@ def _value(cfg, key):
             raise ConfigError("config key %r: expected comma-separated "
                               "numbers, got %r" % (key, cfg.get(key)))
     for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, float) and not math.isfinite(item) \
+                and not (item == math.inf and key in _INFINITE_OK):
+            raise ConfigError("config key %r: expected a finite number, "
+                              "got %r" % (key, cfg.get(key)))
         if spec.choices is not None and item not in spec.choices:
             raise ConfigError("unknown %s %r (%s takes %s)"
                               % (key.replace(".", " ").rstrip("s"), item,
@@ -286,9 +295,6 @@ def _evolve(v, flow, config):
             u[grid.kmax - k1, grid.kmax - k2] = amp / 2.0
     state = (nls_mod.NlsState(grid, u) if cplx
              else nlw_mod.WaveState(grid, u, np.zeros_like(u)))
-    if not 0 <= v["flow.T"] < math.inf:     # before linspace warns on it
-        raise ConfigError("flow.T = %r: t_final must be finite and >= 0"
-                          % v["flow.T"])
     times = np.linspace(0.0, v["flow.T"], max(v["n_records"], 2))[1:]
     _, recs = flow.evolve(state, config, v["flow.T"], record_times=list(times))
     return grid, state, recs

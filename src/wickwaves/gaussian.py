@@ -16,12 +16,11 @@ Every Wick density, force and constant in the package reads `WICK_TABLE`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import FourierField, chi_plateau, spectral_plan
+from .torus import FourierField, spectral_plan
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ def sample_gff_coeffs(grid, m, rng: RngStream, size=None):
     omega = np.sqrt(m**2 + grid.mode_nsq())
     c = g / (grid.L * omega)
     return np.where(grid.ball_mask(), c, 0.0)
-
-
-def sample_gff(grid, m, rng: RngStream):
-    """One sample of the band-limited periodic GFF with mass m."""
-    return FourierField(grid, sample_gff_coeffs(grid, m, rng), real=True)
 
 
 def sample_white_noise_coeffs(grid, rng: RngStream, size=None):
@@ -235,47 +229,6 @@ def wick_power(Z: FourierField, j, a, output_radius=None):
     """:Z^j: with renormalization constant a, truncated to output_radius."""
     c = wick_power_coeffs(Z.grid, Z.coeffs, j, a, output_radius, Z.real)
     return FourierField(Z.grid, c, Z.real)
-
-
-def wick_power_shifted(Z: FourierField, phi: FourierField, j, a,
-                       output_radius=None):
-    """:(Z+phi)^j: = sum_i C(j,i) :Z^i: phi^(j-i) for real fields (the
-    Hermite binomial rule), products exact (no intermediate truncation)."""
-    if Z.grid != phi.grid:
-        from .torus import GridMismatchError
-        raise GridMismatchError("Z and phi must share a grid")
-    if j not in (2, 3, 4):
-        raise ValueError("Wick power j must be in {2, 3, 4}")
-    if not (Z.real and phi.real):
-        raise ValueError("shifted Wick powers need real fields")
-    plan = spectral_plan(Z.grid, True, j)
-    z = plan.to_grid(Z.coeffs)
-    f = plan.to_grid(phi.coeffs)
-    col = WICK_TABLE[True]
-    total = np.zeros_like(z)
-    for i in range(j + 1):
-        total = total + math.comb(j, i) * col.density(z, i, a) * f ** (j - i)
-    c = plan.from_grid(total, radius=output_radius)
-    return FourierField(Z.grid, c, True)
-
-
-def mollified_wick_cubic(Z: FourierField, delta, m, chi=chi_plateau):
-    """The continuous approximation f_delta: smooth Fourier cutoff at scale
-    1/delta, cubic Hermite with the cutoff's own exact variance."""
-    if delta <= 0:
-        raise ValueError("mollification scale must be positive")
-    grid = Z.grid
-    zc = Z.coeffs * chi(delta * np.sqrt(grid.mode_nsq()))
-    a_delta = mollified_variance(grid, delta, m, chi)
-    c = wick_power_coeffs(grid, zc, 3, a_delta, grid.K, Z.real)
-    return FourierField(grid, c, Z.real)
-
-
-def mollified_variance(grid, delta, m, chi=chi_plateau):
-    """a_delta = E[(Z^delta)(0)^2]: the mode sum weighted by chi_delta^2."""
-    mult = chi(delta * np.sqrt(grid.mode_nsq()))
-    return float(np.sum((mult**2 / (m**2 + grid.mode_nsq()))[grid.ball_mask()])
-                 / grid.L**2)
 
 
 def pairing(f_coeffs, g_coeffs, L):

@@ -14,7 +14,6 @@ probabilistic globalization argument.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import nls as nls_mod
 from . import nlw as nlw_mod
-from .besov import FLAT, POLY, BesovParams, WeightSpec, besov_norm_array
+from .besov import POLY, BesovParams, WeightSpec, besov_norm_array
 from .gaussian import (
     WICK_TABLE,
     RngStream,
@@ -284,18 +283,6 @@ class EnsembleReport:
         return (self.fraction_below_001 <= max_fraction
                 and self.uniformity_p > uniformity_alpha)
 
-    def to_json(self):
-        return json.dumps({
-            "manifest": self.manifest,
-            "observables": self.observables,
-            "p_values": list(map(float, self.p_values)),
-            "fraction_below_001": self.fraction_below_001,
-            "uniformity": {"stat": self.uniformity_stat,
-                           "p": self.uniformity_p},
-            "energy_distance": self.energy_distance,
-            "passed": bool(self.passed()),
-        }, indent=2, sort_keys=True)
-
 
 def _summary(x):
     return {"mean": float(np.mean(x)), "var": float(np.var(x)),
@@ -389,9 +376,9 @@ def invariance_experiment(grid, flow, T, n, rng: RngStream, m=1.0, lam=1.0,
 # ---------------------------------------------------------------------------
 # Volume stabilization
 
-def _grid_for(L, K, points_factor=1):
+def _grid_for(L, K):
     base = 4 * int(math.ceil(K * L)) + 2
-    m_pts = int(2 ** math.ceil(math.log2(base))) * points_factor
+    m_pts = int(2 ** math.ceil(math.log2(base)))
     return TorusGrid(L, m_pts, K)
 
 
@@ -421,8 +408,7 @@ def volume_stabilization_study(L_list, K, T, n, rng: RngStream, m=1.0,
         grid = _grid_for(L, K)
         ctx = FlowContext(grid, m, lam, a, "nlw")
         obs = [ob for ob in default_observables(ctx, support_radius=d)
-               if ob.support_radius is not None or ob.kind == "hamiltonian"]
-        obs = [ob for ob in obs if ob.kind == "pairing"]
+               if ob.kind == "pairing"]
         spec = ctx.measure_spec()
         if lam == 0.0:
             u, ut = _sample_gaussian_ensemble(grid, m, n, rng.child(10 + i))

@@ -114,7 +114,7 @@ class RunConfig:
             return default
         try:
             return conv(self.values[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):     # int('inf')
             raise ConfigError("config key %r: expected %s, got %r"
                               % (key, typename, self.values[key]))
 
@@ -131,16 +131,6 @@ class RunConfig:
 
     def get_str(self, key, default=None):
         return self._fetch(key, default, str, "a string")
-
-    def get_bool(self, key, default=None):
-        def conv(s):
-            sl = s.strip().lower()
-            if sl in ("true", "1", "yes", "on"):
-                return True
-            if sl in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(s)
-        return self._fetch(key, default, conv, "a boolean")
 
     # -- serialization ------------------------------------------------------
     def canonical_text(self):
@@ -262,10 +252,6 @@ class OutputSet:
 
     def csv(self, path, header, rows):
         write_csv(path, header, rows)
-        self.paths.append(path)
-
-    def text(self, path, text):
-        atomic_write_text(path, text)
         self.paths.append(path)
 
     def discard(self):

@@ -58,9 +58,6 @@ class NlsState:
         """One state of the states' members, in order."""
         return NlsState(states[0].grid, np.concatenate([s.u for s in states]))
 
-    def field(self, index=()):
-        return FourierField(self.grid, self.u[index], real=False)
-
 
 @dataclass(frozen=True)
 class NlsConfig:
@@ -250,42 +247,3 @@ def holder_quotients(times, coeffs_list, grid, alpha, s=-4.1,
             quots.append(nrm / abs(t[j] - t[i]) ** alpha)
         gap *= 2
     return max(quots) if quots else 0.0
-
-
-def tightness_diagnostic(trajectories_by_L, alpha=0.25, s=-4.1,
-                         weight: WeightSpec = WeightSpec(3.0,
-                                                         "polynomial_decay"),
-                         n_boot=400, seed=0):
-    """Distribution of per-trajectory Holder quotients for each torus size.
-
-    trajectories_by_L maps L -> (grid, list of (times, coeffs_list)).
-    Reports the median and a bootstrap CI per L plus a Mann-Kendall trend
-    test on the medians (tightness predicts no upward trend).
-    Requires at least two torus sizes.
-    """
-    from .stats import mann_kendall
-    if len(trajectories_by_L) < 2:
-        raise ValueError("need trajectories at >= 2 torus sizes")
-    gen = np.random.default_rng(seed)
-    per_l = {}
-    for L in sorted(trajectories_by_L):
-        grid, trajs = trajectories_by_L[L]
-        vals = np.array([holder_quotients(ts, cs, grid, alpha, s, weight)
-                         for ts, cs in trajs])
-        boots = np.median(
-            vals[gen.integers(0, len(vals), size=(n_boot, len(vals)))],
-            axis=1)
-        per_l[L] = {
-            "quotients": vals,
-            "median": float(np.median(vals)),
-            "median_ci": (float(np.percentile(boots, 2.5)),
-                          float(np.percentile(boots, 97.5))),
-        }
-    medians = [per_l[L]["median"] for L in sorted(per_l)]
-    mk = mann_kendall(medians)
-    return {
-        "per_L": per_l,
-        "medians": medians,
-        "mann_kendall": mk,
-        "upward_trend": mk["trend"] == "increasing",
-    }

@@ -31,7 +31,6 @@ from . import _timeloop
 from .gaussian import wick_constant_continuum, wick_power_coeffs
 from .phi4 import MeasureSpec, quartic_integral
 from .torus import (
-    FourierField,
     GridMismatchError,
     TorusGrid,
     chi_plateau,
@@ -59,12 +58,6 @@ class WaveState:
 
     def copy(self):
         return WaveState(self.grid, self.u.copy(), self.ut.copy())
-
-    def u_field(self, index=()):
-        return FourierField(self.grid, self.u[index], real=True)
-
-    def ut_field(self, index=()):
-        return FourierField(self.grid, self.ut[index], real=True)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ packed real degrees of freedom (exact accept/reject, so the chains target
 exp(-S) without discretization bias), and a brute-force rejection oracle
 for tiny mode sets.
 
-MALA may use a diagonal, position-independent preconditioner (per-mode
-step scaling 1/(L^2 omega^2)); the Metropolis correction uses the matching
-Gaussian proposal density, so detailed balance is exact either way.
+MALA uses a diagonal, position-independent preconditioner (per-mode step
+scaling 1/(L^2 omega^2)); the Metropolis correction uses the matching
+Gaussian proposal density, so detailed balance is exact.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .gaussian import (
     sample_gff_coeffs,
     wick_constant_continuum,
 )
+from .stats import integrated_autocorr_time
 from .torus import FourierField, TorusGrid, spectral_plan
 
 
@@ -340,11 +341,6 @@ class ChainState:
     def coeffs(self):
         return unpack_dofs(self.spec, self.dofs)
 
-    def phi(self, index=0):
-        """The current sample of one chain as a field."""
-        return FourierField(self.spec.grid, self.coeffs()[index],
-                            real=self.spec.field_type == REAL_FIELD)
-
 
 def _hartree_start(spec: MeasureSpec):
     """Self-consistent (magnetization, fluctuation mass) for a warm start.
@@ -428,11 +424,11 @@ def _tamed_drift(raw, dt, amat, tame_sd):
     return raw / (1.0 + np.abs(raw) / cap)
 
 
-def mala_step(state: ChainState, dt, precondition=True, tame_sd=5.0):
+def mala_step(state: ChainState, dt, tame_sd=5.0):
     """One Metropolis-adjusted Langevin step for every chain in the batch.
 
     Proposal x' = x - tame(dt*A*grad(S)) + sqrt(2*dt*A)*xi with A the
-    diagonal preconditioner (identity when precondition=False); accept
+    diagonal preconditioner 1 / _DofLayout.curvature; accept
     with the exact Metropolis ratio for the Gaussian proposal density
     around the tamed mean.  Non-finite proposals are rejected and counted
     in state.overflow.
@@ -441,8 +437,7 @@ def mala_step(state: ChainState, dt, precondition=True, tame_sd=5.0):
         raise ValueError("step size dt must be positive")
     spec = state.spec
     lay = _layout(spec.grid, spec.field_type)
-    amat = (1.0 / lay.curvature(spec.m) if precondition
-            else np.ones(lay.dim))
+    amat = 1.0 / lay.curvature(spec.m)
     gen = state.generator()
     x = state.dofs
     if state._cache is None:
@@ -475,13 +470,12 @@ def mala_step(state: ChainState, dt, precondition=True, tame_sd=5.0):
     return state
 
 
-def tune_step_size(state: ChainState, dt, steps=60, target=0.574,
-                   precondition=True):
+def tune_step_size(state: ChainState, dt, steps=60, target=0.574):
     """Crude dual-averaging-free tuner: scale dt toward the target
     acceptance during burn-in, then freeze.  Returns the tuned dt."""
     for _ in range(steps):
         before = state.accepted
-        mala_step(state, dt, precondition)
+        mala_step(state, dt)
         rate = (state.accepted - before) / state.batch
         dt *= math.exp(0.3 * (rate - target))
     return dt
@@ -701,8 +695,7 @@ def rejection_oracle(spec: MeasureSpec, n_samples, rng: RngStream,
 # Chain runner
 
 def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
-              dt=None, burn_in=None, thinning=None, batch=None,
-              precondition=True, n_leap=10):
+              dt=None, burn_in=None, thinning=None, batch=None, n_leap=10):
     """Draw n_samples coefficient arrays from the measure.
 
     sampler in {"hmc", "mala", "rejection_oracle"}; "hmc"
@@ -750,17 +743,15 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         dt = 0.25 if dt is None else dt
         burn = burn_in if burn_in is not None else max(
             64, int(math.ceil(10.0 / (spec.m**2 * dt))))
-        dt = tune_step_size(state, dt, steps=max(20, burn // 3),
-                            precondition=precondition)
+        dt = tune_step_size(state, dt, steps=max(20, burn // 3))
 
         def step(st, d):
-            return mala_step(st, d, precondition)
+            return mala_step(st, d)
     probe = []
     for _ in range(burn):
         step(state, dt)
         probe.append(np.sum(np.abs(state.dofs) ** 2, axis=-1))
     if thinning is None:
-        from .stats import integrated_autocorr_time
         series = np.asarray(probe)[burn // 2:, 0]
         thinning = max(1, int(math.ceil(
             2.0 * integrated_autocorr_time(series))))
@@ -771,7 +762,6 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         for _ in range(thinning):
             step(state, dt)
         samples[i] = state.coeffs()
-    from .stats import integrated_autocorr_time
     if per_chain >= 4:
         # effective sample size from the thinned per-chain probe series,
         # draw by draw: |samples|^2 at once would hold two more copies of

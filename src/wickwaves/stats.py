@@ -25,11 +25,6 @@ def ks_uniformity(p_values):
     return float(res.statistic), float(res.pvalue)
 
 
-def energy_distance_1d(x, y):
-    """Szekely energy distance between two 1-D samples."""
-    return float(sps.energy_distance(np.asarray(x), np.asarray(y)))
-
-
 def energy_distance(x, y):
     """Energy distance between multivariate samples, rows = observations.
 
@@ -114,8 +109,3 @@ def integrated_autocorr_time(x, c=6.0):
         if w >= c * tau:
             break
     return float(max(tau, 0.5))
-
-
-def effective_sample_size(x):
-    x = np.asarray(x, dtype=float)
-    return float(len(x) / (2.0 * integrated_autocorr_time(x)))

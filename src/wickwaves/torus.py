@@ -48,23 +48,18 @@ for a complex one, plus up to 1 MiB per plane: 10 MB and 20 MB at batch
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-_MAGIC = b"WWF1"
-_SNAPSHOT_VERSION = 1
-
 
 class GridMismatchError(ValueError):
-    """Two fields living on different grids were combined."""
+    """Coefficients or samples do not match the grid they are used on."""
 
 
 @dataclass(frozen=True)
@@ -175,31 +170,6 @@ class FourierField:
     def copy(self):
         return FourierField(self.grid, self.coeffs.copy(), self.real)
 
-    def l2_norm(self):
-        """Spatial L^2 norm, by Parseval."""
-        return float(self.grid.L * np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs + other.coeffs,
-                            self.real and other.real)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return FourierField(self.grid, self.coeffs - other.coeffs,
-                            self.real and other.real)
-
-    def __mul__(self, scalar):
-        return FourierField(self.grid, self.coeffs * scalar,
-                            self.real and np.isrealobj(np.asarray(scalar)))
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(f, g):
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-
 
 # ---------------------------------------------------------------------------
 # transforms on the M x M grid
@@ -237,14 +207,6 @@ def to_physical(f: FourierField):
 
 def from_physical(grid, samples, real=True):
     return FourierField(grid, from_physical_array(grid, samples, real=real), real)
-
-
-def project(f: FourierField, radius):
-    """Sharp Fourier projection P_radius onto the ball |n| <= radius."""
-    if radius < 0:
-        raise ValueError("projection radius must be nonnegative")
-    mask = f.grid.ball_mask(radius)
-    return FourierField(f.grid, np.where(mask, f.coeffs, 0.0), f.real)
 
 
 # ---------------------------------------------------------------------------
@@ -697,59 +659,3 @@ def _lp_multiplier(grid, K, k):
     # every later norm shares the cached array
     mult.flags.writeable = False
     return mult
-
-
-def lp_block(f: FourierField, k, part: LPPartition):
-    """Littlewood-Paley block Delta_k f."""
-    mult = lp_multiplier(f.grid, part, k)
-    return FourierField(f.grid, f.coeffs * mult, f.real)
-
-
-# ---------------------------------------------------------------------------
-# snapshot format
-#
-# header: magic "WWF1" (4 bytes), version u32, endianness marker u32
-# (0x01020304), L f64, M u32, K f64, reality u8, pad 3 bytes; then
-# nk*nk little-endian (f64, f64) coefficient pairs in row-major mode order.
-
-def write_snapshot(f: FourierField, fh):
-    own = isinstance(fh, (str, bytes))
-    stream = open(fh, "wb") if own else fh
-    try:
-        stream.write(_MAGIC)
-        stream.write(struct.pack("<II", _SNAPSHOT_VERSION, 0x01020304))
-        stream.write(struct.pack("<dId", f.grid.L, f.grid.M, f.grid.K))
-        stream.write(struct.pack("<B3x", 1 if f.real else 0))
-        flat = np.ascontiguousarray(f.coeffs, dtype="<c16")
-        stream.write(flat.tobytes())
-    finally:
-        if own:
-            stream.close()
-
-
-def read_snapshot(fh):
-    own = isinstance(fh, (str, bytes))
-    stream = open(fh, "rb") if own else fh
-    try:
-        magic = stream.read(4)
-        if magic != _MAGIC:
-            raise ValueError("not a field snapshot (bad magic)")
-        version, endmark = struct.unpack("<II", stream.read(8))
-        if version != _SNAPSHOT_VERSION or endmark != 0x01020304:
-            raise ValueError("unsupported snapshot version or endianness")
-        L, M, K = struct.unpack("<dId", stream.read(20))
-        (real_flag,) = struct.unpack("<B3x", stream.read(4))
-        grid = TorusGrid(L, M, K)
-        n = grid.nk
-        raw = stream.read(16 * n * n)
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(n, n).astype(np.complex128)
-        return FourierField(grid, coeffs, bool(real_flag))
-    finally:
-        if own:
-            stream.close()
-
-
-def snapshot_bytes(f: FourierField):
-    buf = io.BytesIO()
-    write_snapshot(f, buf)
-    return buf.getvalue()

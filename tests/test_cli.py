@@ -123,6 +123,10 @@ def test_besov_norm_cmd(capsys, tmp_path):
     assert code == 0
     lines = (tmp_path / "besov_norms.csv").read_text().splitlines()
     assert len(lines) == 4
+    # inf is the exponent of a sup norm, by flag or by --set
+    code, _, _ = run(capsys, "besov-norm", "--L", "2", "--K", "2", "--n", "1",
+                     "--r", "inf", "--set", "besov.p=inf")
+    assert code == 0
 
 
 def test_invariance_linear_pass(capsys, tmp_path):
@@ -211,11 +215,23 @@ def test_unconverged_midpoint_kick_exits_3(capsys, tmp_path):
     ("evolve-nlw", "init.modes=single init.k1=50"),
     ("evolve-nls", "init.modes=single init.k1=-3"),
     ("volume-study", "harness.L_list=4"),
+    # a non-finite number in any key is refused before any draw
+    pytest.param("sample-gff", "n=inf", marks=FAIL_ON_WARNING),
+    pytest.param("sample-gff", "grid.M=inf", marks=FAIL_ON_WARNING),
+    pytest.param("sample-gff", "grid.L=inf", marks=FAIL_ON_WARNING),
+    pytest.param("sample-gff", "grid.K=inf", marks=FAIL_ON_WARNING),
+    pytest.param("sample-gff", "measure.m=nan", marks=FAIL_ON_WARNING),
+    pytest.param("sample-phi4", "sampler.batch=inf", marks=FAIL_ON_WARNING),
+    pytest.param("volume-study", "harness.L_list=4,inf",
+                 marks=FAIL_ON_WARNING),
 ])
 def test_flow_config_errors_exit_2(capsys, tmp_path, command, setting):
-    grid = ["--K", "2"]
-    if command != "volume-study":       # its grids follow harness.L_list
-        grid = ["--L", "1"] + grid
+    # grid flags, but for a key the setting gives (a flag beats --set)
+    grid = {"grid.L": ["--L", "1"], "grid.K": ["--K", "2"]}
+    if command == "volume-study":       # its grids follow harness.L_list
+        del grid["grid.L"]
+    grid = [a for key, flag in grid.items() if key not in setting
+            for a in flag]
     sets = [a for s in setting.split() for a in ("--set", s)]
     code, _, err = run(capsys, command, *grid, *sets, "--out", str(tmp_path))
     assert code == 2

@@ -7,11 +7,8 @@ from wickwaves.gaussian import (
     WICK_TABLE,
     RngStream,
     gff_covariance,
-    mollified_variance,
-    mollified_wick_cubic,
     pairing,
     sample_complex_gff_coeffs,
-    sample_gff,
     sample_gff_coeffs,
     sample_white_noise_coeffs,
     wick_constant_continuum,
@@ -19,7 +16,6 @@ from wickwaves.gaussian import (
     wick_constant_lattice,
     wick_power,
     wick_power_coeffs,
-    wick_power_shifted,
 )
 from wickwaves.torus import FourierField, TorusGrid
 
@@ -150,8 +146,6 @@ def test_complex_wick_powers_are_centred():
     one = FourierField(grid, c[0], real=False)
     assert np.array_equal(wick_power(one, 2, a).coeffs,
                           wick_power_coeffs(grid, c[0], 2, a, real=False))
-    with pytest.raises(ValueError):
-        wick_power_shifted(one, one, 2, a)
 
 
 def test_wick_power_hermite_identities(small_grid):
@@ -165,61 +159,3 @@ def test_wick_power_hermite_identities(small_grid):
     direct = dealiased_power(f, 2, output_radius=2 * grid.K).coeffs.copy()
     direct[grid.kmax, grid.kmax] -= a
     assert np.max(np.abs(w2.coeffs - direct)) < 1e-12
-
-
-def test_wick_power_shifted_reduces(small_grid):
-    grid = small_grid
-    z = sample_gff_coeffs(grid, 1.0, RngStream(12, 0))
-    zero = np.zeros_like(z)
-    a = 0.7
-    zf = FourierField(grid, z, real=True)
-    pf = FourierField(grid, zero, real=True)
-    for j in (2, 3, 4):
-        shifted = wick_power_shifted(zf, pf, j, a)
-        plain = wick_power(zf, j, a)
-        assert np.max(np.abs(shifted.coeffs - plain.coeffs)) < 1e-12
-
-
-def test_wick_power_shifted_matches_direct(small_grid):
-    grid = small_grid
-    z = sample_gff_coeffs(grid, 1.0, RngStream(13, 0))
-    phi = 0.3 * sample_gff_coeffs(grid, 2.0, RngStream(13, 1))
-    a = 0.9
-    zf = FourierField(grid, z, real=True)
-    pf = FourierField(grid, phi, real=True)
-    for j in (2, 3):
-        lhs = wick_power_shifted(zf, pf, j, a)
-        rhs = wick_power(FourierField(grid, z + phi, real=True), j, a)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
-
-
-def test_mollified_cubic_saturates(small_grid):
-    grid = small_grid
-    z = sample_gff(grid, 1.0, RngStream(14, 0))
-    a = wick_constant_lattice(grid.L, grid.K, 1.0)
-    exact = wick_power(z, 3, a)
-    tiny = mollified_wick_cubic(z, 1e-4, 1.0)
-    assert np.max(np.abs(tiny.coeffs - exact.coeffs)) < 1e-10
-
-
-def test_mollified_cubic_monotone_convergence(small_grid):
-    grid = small_grid
-    deltas = [0.8, 0.2, 0.05]
-    errs = []
-    for d in deltas:
-        tot = 0.0
-        for s in range(20):
-            z = sample_gff(grid, 1.0, RngStream(15, s))
-            a = wick_constant_lattice(grid.L, grid.K, 1.0)
-            exact = wick_power(z, 3, a)
-            approx = mollified_wick_cubic(z, d, 1.0)
-            tot += np.linalg.norm(approx.coeffs - exact.coeffs)
-        errs.append(tot)
-    # coarse cutoffs hit the spectrum, fine ones resolve the whole ball
-    assert errs[-1] < 1e-8
-    assert errs[-1] < errs[0]
-
-
-def test_mollified_variance_increases(small_grid):
-    vs = [mollified_variance(small_grid, d, 1.0) for d in (0.8, 0.4, 0.1)]
-    assert all(b >= a for a, b in zip(vs, vs[1:]))

@@ -33,14 +33,15 @@ def test_parse_config_text():
 
 
 def test_typed_accessors():
-    cfg = RunConfig({"x": "1.5", "n": "4", "b": "true", "s": "hi"})
+    cfg = RunConfig({"x": "1.5", "n": "4", "s": "hi", "big": "inf"})
     assert cfg.get_float("x") == 1.5
     assert cfg.get_int("n") == 4
-    assert cfg.get_bool("b") is True
     assert cfg.get_str("s") == "hi"
     assert cfg.get_float("missing", 2.0) == 2.0
     with pytest.raises(ConfigError):
         cfg.get_int("x")
+    with pytest.raises(ConfigError, match="expected an integer"):
+        cfg.get_int("big")
     with pytest.raises(ConfigError):
         cfg.get_float("s")
     with pytest.raises(ConfigError, match="missing required"):

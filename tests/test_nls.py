@@ -19,7 +19,6 @@ from wickwaves.nls import (
     mass,
     nls_linear_propagate,
     split_step,
-    tightness_diagnostic,
 )
 from wickwaves.torus import FourierField, TorusGrid
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from wickwaves.stats import (
-    effective_sample_size,
     energy_distance,
-    energy_distance_1d,
     integrated_autocorr_time,
     ks_two_sample,
     ks_uniformity,
@@ -52,7 +51,7 @@ def test_energy_distance_1d_consistent():
     gen = np.random.default_rng(4)
     x = gen.standard_normal(300)
     y = gen.standard_normal(300) + 1.0
-    d1 = energy_distance_1d(x, y)
+    d1 = scipy.stats.energy_distance(x, y)
     # scipy's energy_distance is the square root of the E-statistic
     d2 = energy_distance(x[:, None], y[:, None])
     assert d1 == pytest.approx(np.sqrt(d2), rel=1e-8)
@@ -79,7 +78,6 @@ def test_autocorr_iid():
     x = gen.standard_normal(20000)
     tau = integrated_autocorr_time(x)
     assert 0.4 < tau < 0.7
-    assert effective_sample_size(x) > 0.7 * len(x)
 
 
 def test_autocorr_ar1():
