@@ -39,8 +39,6 @@ def fmt_float(x):
 
 
 def format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return fmt_float(v)
     return str(v)

@@ -347,14 +347,19 @@ def _hartree_start(spec: MeasureSpec):
 
     Minimizes the Gaussian-averaged action over a constant shift v with
     fluctuations of dressed mass M, iterating
-        real:     v^2 = 3a - 3 sigma^2 - m^2 / (4q),
-                  M^2 = m^2 + 12 q (v^2 + sigma^2 - a)
-        complex:  v^2 = 2a - 2 sigma^2 - m^2 / (2q),
-                  M^2 = m^2 + q (4 v^2 + 8 sigma^2 - 4a)
-    with sigma^2 the dressed one-point variance of the nonzero modes.
-    Only used to initialize chains, so modest accuracy suffices.
+
+        v^2 = c a - c sigma^2 - m^2 / (k q),
+        M^2 = m^2 + c k q (v^2 + n sigma^2 - a),
+
+    with (c, k) of the field's WICK_TABLE column ((3, 4) real, (2, 2)
+    complex), sigma^2 the dressed one-point variance of the nonzero modes,
+    and n = 1 for real fields and 2 for complex ones.  (The Gaussian
+    average of the degree-4 entry gives n = 1 for both; n = 2 is kept
+    because it places the first draw of every complex chain.)  Only used
+    to initialize chains, so modest accuracy suffices.
     """
     grid, a, q, m = spec.grid, spec.a, spec.q, spec.m
+    c, k = spec.wick.c, spec.wick.k
     nsq = grid.mode_nsq()
     mask = grid.ball_mask().copy()
     mask[grid.kmax, grid.kmax] = False
@@ -364,15 +369,15 @@ def _hartree_start(spec: MeasureSpec):
         return float(np.sum(1.0 / (grid.L**2 * (M2 + nsq_act))))
 
     real = spec.field_type == REAL_FIELD
-    v2, M2 = (3.0 if real else 2.0) * a, m * m
+    v2, M2 = c * a, m * m
     for _ in range(200):
         s2 = sigma2(max(M2, 1e-3))
+        v2_new = max(c * a - c * s2 - m * m / (k * q), 0.0)
         if real:
-            v2_new = max(3.0 * a - 3.0 * s2 - m * m / (4.0 * q), 0.0)
-            M2_new = m * m + 12.0 * q * (v2_new + s2 - a)
+            M2_new = m * m + c * k * q * (v2_new + s2 - a)
         else:
-            v2_new = max(2.0 * a - 2.0 * s2 - m * m / (2.0 * q), 0.0)
-            M2_new = m * m + q * (4.0 * v2_new + 8.0 * s2 - 4.0 * a)
+            M2_new = m * m + q * (c * k * v2_new + 2.0 * c * k * s2
+                                  - c * k * a)
         v2 = 0.5 * v2 + 0.5 * v2_new
         M2 = 0.5 * M2 + 0.5 * max(M2_new, 1e-3)
     return math.sqrt(v2), math.sqrt(max(M2, 1e-3))

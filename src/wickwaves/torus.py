@@ -472,13 +472,14 @@ class SpectralPlan:
         a time, so nothing the size of the batch's samples is allocated.
         `work` gets the samples u (m, P, P) of a block of m members, which
         it may change in place, and `planes`, real work arrays (k, m, P, P)
-        that aliases nothing a caller holds: k = 1 for a real plan and 2
-        for a complex one.  It returns w, the samples to transform back
-        (u, a plane, or an array of its own), and value, None or an array
-        (m,) per member; the values of all members come back in the shape
-        of the batch.  Neither u nor a plane may outlive the call, and
-        `work` may not enter a round trip of this plan on this thread
-        (RuntimeError)."""
+        that alias nothing a caller holds: k = 1 for a real plan and 2 for
+        a complex one, one contiguous array, so that a complex plan's
+        planes can also be read as one complex array of u's shape.  It
+        returns w, the samples to transform back (u, a plane, or an array
+        of its own), and value, None or an array (m,) per member; the
+        values of all members come back in the shape of the batch.
+        Neither u nor a plane may outlive the call, and `work` may not
+        enter a round trip of this plan on this thread (RuntimeError)."""
         loc = self._local
         if getattr(loc, "busy", False):
             raise RuntimeError("SpectralPlan.round_trip entered again from "
@@ -501,7 +502,8 @@ class SpectralPlan:
             # once at least, so that an empty batch gives empty results
             for lo in range(0, max(len(members), 1), len(planes[0])):
                 block = members[lo:lo + len(planes[0])]
-                w, v = work(self._row_inverse(block), planes[:, :len(block)])
+                w, v = work(self._row_inverse(block),
+                            self._head(planes, len(block)))
                 value.append(v)
                 if w is None:
                     continue
@@ -523,6 +525,12 @@ class SpectralPlan:
                                  radius), value
         finally:
             loc.busy = False
+
+    def _head(self, planes, m):
+        """The work planes of m members (see round_trip): the head of the
+        block's planes, contiguous, shape (k, m, P, P)."""
+        shape = (len(planes), m, self.P, self.P)
+        return planes.reshape(-1)[:math.prod(shape)].reshape(shape)
 
     def _work_buffer(self, lead):
         """This thread's work buffer for a batch of shape `lead`: its padded

@@ -20,7 +20,7 @@ from wickwaves.nls import (
     nls_linear_propagate,
     split_step,
 )
-from wickwaves.torus import FourierField, TorusGrid
+from wickwaves.torus import FourierField, SpectralPlan, TorusGrid
 
 
 @pytest.fixture
@@ -118,10 +118,10 @@ def test_midpoint_kick_raises_when_not_converged(nls_grid):
 
 def test_midpoint_kick_stops_an_overflowing_member_at_once(nls_grid,
                                                           monkeypatch):
-    # one member of 19 scaled by 10 overflows within a few iterations; the
-    # kick raises at the first non-finite update, without a numpy warning
+    # one member of 19 scaled by 1e110, whose cubic overflows; the kick
+    # raises at the first non-finite update, without a numpy warning
     u = sample_complex_gff_coeffs(nls_grid, 1.0, RngStream(10, 0), size=19)
-    u[7] *= 10.0
+    u[7] *= 1e110
     cubics = []
 
     def counted(*args, **kwargs):
@@ -134,8 +134,52 @@ def test_midpoint_kick_stops_an_overflowing_member_at_once(nls_grid,
         warnings.simplefilter("error")
         with pytest.raises(NumericalGateError, match="non-finite"):
             split_step(NlsState(nls_grid, u), cfg)
-    # 6 iterations here, against 60 before the first-non-finite stop
+    # 1 iteration here, against 60 without the first-non-finite stop
     assert len(cubics) < 20
+
+
+def test_midpoint_kick_solves_a_member_the_plain_iteration_did_not(nls_grid):
+    # the member scaled by 3 of the failed-group test: iterating
+    # u' = u - i lam tau P N(w) from u did not reach 1e-13 in 60 updates
+    u = 3.0 * sample_complex_gff_coeffs(nls_grid, 1.0, RngStream(9, 0),
+                                        size=19)[0]
+    lam, tau, a = 1.0, 0.005, 0.4
+    new = nls._midpoint_kick(nls_grid, u, lam, tau, a)
+    residual = new - u + 1j * lam * tau * wick_power_coeffs(
+        nls_grid, 0.5 * (u + new), 3, a, real=False)
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_midpoint_steps_cost_at_most_085_of_the_plain_iteration(
+        nls_grid, monkeypatch):
+    # member-cubics (one per member per complex padded transform pair) of
+    # three midpoint steps of 8 members: 643 for the plain iteration from
+    # u, 492 with the mean-field shift and the phase-kick start
+    u = sample_complex_gff_coeffs(nls_grid, 1.0, RngStream(8, 0), size=8)
+    cfg = NlsConfig(1.0, 1.0, 0.01, wick_a=0.4, substep=MIDPOINT_SUBSTEP)
+    members = []
+    plain = SpectralPlan.round_trip
+
+    def counted(self, values, *args, **kwargs):
+        members.append(math.prod(values.shape[:-2]))
+        return plain(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralPlan, "round_trip", counted)
+    st = NlsState(nls_grid, u)
+    for _ in range(3):
+        st = split_step(st, cfg)
+    assert sum(members) <= 0.85 * 643
+
+
+def test_phase_kick_of_a_member_does_not_depend_on_its_batch(nls_grid):
+    # 32 members are 373 KB of samples and one is 11.7 KB, on either side
+    # of the 256 KiB from which numpy's temporary elision swaps the
+    # operands of `z * np.exp(...)`, which moves the product's last bit
+    u = sample_complex_gff_coeffs(nls_grid, 1.0, RngStream(7, 0), size=32)
+    batch = nls._phase_kick(nls_grid, u, 1.0, 0.005, 0.4)
+    for i in (0, 31):
+        alone = nls._phase_kick(nls_grid, u[i], 1.0, 0.005, 0.4)
+        assert np.array_equal(alone, batch[i])
 
 
 def test_phase_substep_smooth_data(nls_grid):

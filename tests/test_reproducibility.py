@@ -172,7 +172,7 @@ def test_failed_group_raises_its_own_error_after_all_stop(monkeypatch):
     grid = TEST_GRID
     u = sample_complex_gff_coeffs(grid, 1.0, RngStream(9, 0), size=19)
     bad = u.copy()
-    bad[0] *= 3.0       # too strong for the midpoint iteration to converge
+    bad[0] *= 5.0       # too strong for the midpoint iteration to converge
     running, lock = [0], threading.Lock()
     kick = nls._midpoint_kick
 

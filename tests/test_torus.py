@@ -213,6 +213,24 @@ def test_round_trip_keeps_one_buffer_per_plan_and_thread(gen):
     assert buffer_bytes(5) <= held < buffer_bytes(5) + buffer_bytes(3) // 2
 
 
+def test_round_trip_planes_are_contiguous_in_every_block(monkeypatch):
+    # blocks of 2, 2 and 1 members: the last block's planes are the head
+    # of the buffer, so that a complex plan's planes read as one complex
+    # array of the samples' shape
+    grid = TorusGrid(2.0, 32, 3.0)
+    plan = torus.SpectralPlan(grid, False, 27)
+    monkeypatch.setattr(torus, "BLOCK_BYTES", 8 * 27 * 27 * 2)
+    seen = []
+
+    def record(u, planes):
+        seen.append((planes.shape, planes.flags.c_contiguous,
+                     planes.reshape(-1).view(np.complex128).size == u.size))
+        return u, None
+
+    plan.round_trip(np.zeros((5, grid.nk, grid.nk), complex), record)
+    assert seen == [((2, m, 27, 27), True, True) for m in (2, 2, 1)]
+
+
 def test_round_trip_refuses_nested_use(small_grid, gen):
     plan = spectral_plan(small_grid)
     c = random_real_field(small_grid, gen).coeffs
