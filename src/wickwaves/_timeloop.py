@@ -1,18 +1,17 @@
 """The fixed-step time loop shared by the NLW and NLS flows.
 
-A step maps (state, carry, dt) to (state, carry); the carry is what one
-step hands the next (NLW: the force at the current position, which makes
-the closing kick's force the next opening one, first-same-as-last; NLS:
-None).  The loop owns the time grid: full steps of exactly dt, one
-shortened last step onto t_final, and a step boundary at each record time
-between grid points.  Record times on the grid leave the steps unchanged.
+A step maps (state, dt) to the new state, and a record is
+`state.copy()`.  The loop owns the time grid: full steps of exactly dt,
+one shortened last step onto t_final, and a step boundary at each record
+time between grid points.  Record times on the grid leave the steps
+unchanged.
 
 The members of a batched state (axis 0) never interact, so with
-`grouped` the loop runs on groups of members at once (`torus.map_groups`),
-each group with its own carry from its first state, and joins the groups'
-final states and records; the results equal those of one loop over the
-whole batch.  The NLS flow asks for it; an NLW step is too light per
-member for its timing to stay steady on two threads (see CHANGES.md).
+`grouped` the loop runs on groups of members at once (`torus.map_groups`)
+and joins the groups' final states and records; the results equal those
+of one loop over the whole batch.  The NLS flow asks for it; an NLW step
+is too light per member for its timing to stay steady on two threads
+(see CHANGES.md).
 """
 
 from __future__ import annotations
@@ -48,22 +47,18 @@ def _schedule(dt, t_final, record_times):
     return at_start, steps
 
 
-def run(step, state, dt, t_final, record_times=None, start=None,
-        grouped=False):
+def run(step, state, dt, t_final, record_times=None, grouped=False):
     """Integrate to t_final; returns the final state, or (final state,
-    [(t, state)] sorted by t) when record times are given.  `start(state)`
-    gives the first step's carry (default None); it is called inside the
-    loop, on each group, so that no caller holds the first carry once the
-    first step has replaced it.  A grouped batched state needs
-    `take(index)` and `join(states)` along its member axis."""
+    [(t, state)] sorted by t) when record times are given.  A grouped
+    batched state needs `take(index)` and `join(states)` along its member
+    axis."""
     at_start, steps = _schedule(
         dt, t_final, () if record_times is None else record_times)
 
     def loop(st):
-        carry = None if start is None else start(st)
         rec = [(t, st.copy()) for t in at_start]
         for _, size, due in steps:
-            st, carry = step(st, carry, size)
+            st = step(st, size)
             rec.extend((t, st.copy()) for t in due)
         return st, rec
 

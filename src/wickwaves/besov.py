@@ -126,13 +126,16 @@ def _translate_sum(grid, q):
     return total + np.maximum(tail, 0.0)
 
 
-def weighted_lp(grid, samples, p, weight):
-    """Discrete L^p norm over the torus window: (h^2 sum |w u|^p)^(1/p);
-    weight None is the flat weight."""
-    wu = np.abs(samples) if weight is None else np.abs(samples) * weight
+def _lp_sum(samples, p, weight, out):
+    """sum |w u|^p over the torus window (max |w u| for p = inf), formed
+    in `out`, a real array of the samples' shape; weight None is flat."""
+    wu = np.abs(samples, out=out)
+    if weight is not None:
+        wu *= weight
     if np.isinf(p):
         return np.max(wu, axis=(-2, -1))
-    return (grid.h**2 * np.sum(wu**p, axis=(-2, -1))) ** (1.0 / p)
+    wu **= p
+    return np.sum(wu, axis=(-2, -1))
 
 
 def besov_norm_array(grid, coeffs, params: BesovParams, w: WeightSpec,
@@ -150,8 +153,13 @@ def besov_norm_array(grid, coeffs, params: BesovParams, w: WeightSpec,
         weight = None if w.mode == FLAT else np.roll(
             _effective_weight(grid, w, params.p, periodic_extension),
             grid.M // 2, axis=(0, 1))
-        norms = [weighted_lp(grid, plan.to_grid(coeffs * sig), params.p,
-                             weight) for sig in sigmas]
+
+        def work(u, planes):
+            return None, _lp_sum(u, params.p, weight, planes[0])
+        # the discrete L^p norm (h^2 sum |w u|^p)^(1/p), the rectangle rule
+        sums = [plan.round_trip(coeffs * sig, work)[1] for sig in sigmas]
+        norms = sums if np.isinf(params.p) else [
+            (grid.h**2 * v) ** (1.0 / params.p) for v in sums]
     vals = np.stack([2.0 ** (k * params.s) * n
                      for k, n in zip(part.blocks(), norms)], axis=0)
     if np.isinf(params.r):

@@ -96,9 +96,12 @@ def _wick_moment(ctx, u, degree):
                          "2 or 4 (complex fields)")
     if degree == 4:
         return quartic_integral(ctx.measure_spec(), u)
-    plan = spectral_plan(ctx.grid, real)
-    dens = WICK_TABLE[real].density(plan.to_grid(u), degree, ctx.wick_a)
-    return np.sum(dens, axis=(-2, -1)) * (ctx.grid.L / plan.P) ** 2
+    plan, col = spectral_plan(ctx.grid, real), WICK_TABLE[real]
+
+    def work(z, planes):
+        dens = col.density(z, degree, ctx.wick_a, planes)
+        return None, np.sum(dens, axis=(-2, -1))
+    return plan.round_trip(u, work)[1] * (ctx.grid.L / plan.P) ** 2
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def split_step(state: NlsState, cfg: NlsConfig, dt=None):
 def evolve(state: NlsState, cfg: NlsConfig, t_final, record_times=None):
     """Integrate to t_final with steps of cfg.dt (last step shortened to
     land exactly); optionally returns snapshots at the requested times."""
-    return _timeloop.run(lambda st, _, dt: (split_step(st, cfg, dt), None),
+    return _timeloop.run(lambda st, dt: split_step(st, cfg, dt),
                          state, cfg.dt, t_final, record_times, grouped=True)
 
 

@@ -16,8 +16,13 @@ and conserves
 
 up to bounded O(dt^2) oscillation.  `evolve` steps on the time loop
 shared with NLS (`_timeloop`) and reuses each closing kick's force as the
-next opening one (first-same-as-last).  A Picard solver for the Duhamel
-fixed point provides an independent local-in-time cross-check.
+next opening one (first-same-as-last).  A real state's k2 < 0 half is
+the conjugate of its k2 >= 0 half, so `evolve` and `strang_step` read
+only the stored half (SpectralPlan.stored) of u and ut, step copies of it
+in place, and return the Hermitian completion (SpectralPlan.complete); on
+an exactly Hermitian state this is the full-array splitting bit for bit.
+A Picard solver for the Duhamel fixed point provides an independent
+local-in-time cross-check.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _timeloop
-from .gaussian import wick_constant_continuum, wick_power_coeffs
+from .gaussian import (WICK_TABLE, wick_constant_continuum,
+                       wick_power_coeffs)
 from .phi4 import MeasureSpec, quartic_integral
 from .torus import (
     GridMismatchError,
     TorusGrid,
     chi_plateau,
     from_physical_array,
+    spectral_plan,
     to_physical_array,
 )
 
@@ -85,12 +92,20 @@ def _omega(grid, m):
     return np.sqrt(m**2 + grid.mode_nsq())
 
 
+def _rotation(grid, m, t):
+    """cos(omega t), sin(omega t) / omega and -omega sin(omega t) per mode:
+    the linear flow by time t is u <- c u + (s/omega) ut,
+    ut <- (-omega s) u + c ut."""
+    om = _omega(grid, m)
+    c, s = np.cos(om * t), np.sin(om * t)
+    return c, s / om, -om * s
+
+
 def linear_propagate(state: WaveState, m, t):
     """Exact linear wave rotation by time t (any sign; exact group)."""
-    om = _omega(state.grid, m)
-    c, s = np.cos(om * t), np.sin(om * t)
-    u = c * state.u + (s / om) * state.ut
-    ut = -om * s * state.u + c * state.ut
+    c, s_om, om_s = _rotation(state.grid, m, t)
+    u = c * state.u + s_om * state.ut
+    ut = om_s * state.u + c * state.ut
     return WaveState(state.grid, u, ut)
 
 
@@ -99,40 +114,98 @@ def wick_cubic_coeffs(grid, u_coeffs, a):
     return wick_power_coeffs(grid, u_coeffs, 3, a)
 
 
-def _force(state: WaveState, cfg: NlwConfig):
-    """The Wick cubic force at the state's position (None when lam = 0)."""
-    if cfg.lam == 0.0:
-        return None
-    return wick_cubic_coeffs(state.grid, state.u, cfg.a(state.grid))
+class _Strang:
+    """Kick-rotate-kick steps of a real state, in place on copies of the
+    stored halves (SpectralPlan.stored, k2 >= 0) of u and ut.
 
+    `force` holds the Wick cubic force at the current position from
+    construction on; each step's closing kick leaves it for the next
+    opening one (first-same-as-last), and the rotation uses it as scratch
+    in between.  The force is the plan's round trip from and to the stored
+    band, written into `force`, then given SpectralPlan.complete's column-0
+    average and the ball mask in place.  Both kicks go through one scratch
+    array, and the rotation tables are made once per step size.  `copy()`
+    is the Hermitian completion of the current state."""
 
-def _strang(state: WaveState, force, cfg: NlwConfig, dt):
-    """Kick-rotate-kick from the force at the state's position; returns the
-    new state and the force at its position, which the next step's opening
-    kick reuses (first-same-as-last)."""
-    half = 0.5 * dt * cfg.lam
-    if force is not None:
-        state = WaveState(state.grid, state.u, state.ut - half * force)
-    state = linear_propagate(state, cfg.m, dt)
-    force = _force(state, cfg)
-    ut = state.ut if force is None else state.ut - half * force
-    return WaveState(state.grid, state.u, ut), force
+    def __init__(self, state: WaveState, cfg: NlwConfig):
+        self.grid, self.cfg = state.grid, cfg
+        self.plan = plan = spectral_plan(state.grid, True, 3)
+        self.u = np.array(plan.stored(state.u), order="C")
+        self.ut = np.array(plan.stored(state.ut), order="C")
+        self.force = np.empty_like(self.u)
+        self.scratch = np.empty_like(self.u)
+        self.outside = ~plan.stored(plan.ball)
+        self.tables = {}
+        self.update_force()
+
+    def copy(self):
+        plan = self.plan
+        return WaveState(self.grid, plan.complete(self.u),
+                         plan.complete(self.ut))
+
+    def update_force(self):
+        """The force at u, into `force` (nothing when lam = 0)."""
+        if self.cfg.lam == 0.0:
+            return
+        plan, a, col = self.plan, self.cfg.a(self.grid), WICK_TABLE[True]
+        plan.round_trip(plan.floats(self.u),
+                        lambda z, planes: (col.density(z, 3, a, planes), None),
+                        plan.band_parts, plan.band_parts,
+                        out=plan.floats(self.force))
+        col0 = self.force[..., :1]
+        col0[...] = 0.5 * (col0 + np.conj(col0[..., ::-1, :]))
+        np.copyto(self.force, 0.0, where=self.outside)
+
+    def _kick(self, dt):
+        if self.cfg.lam != 0.0:
+            np.multiply(0.5 * dt * self.cfg.lam, self.force, out=self.scratch)
+            self.ut -= self.scratch
+
+    def _rotate(self, dt):
+        if dt not in self.tables:
+            self.tables[dt] = [np.array(self.plan.stored(t), order="C")
+                               for t in _rotation(self.grid, self.cfg.m, dt)]
+        c, s_om, om_s = self.tables[dt]
+        u, ut, spare = self.u, self.ut, self.force
+        np.multiply(om_s, u, out=spare)
+        np.multiply(c, u, out=u)
+        np.multiply(s_om, ut, out=self.scratch)
+        np.add(u, self.scratch, out=u)
+        np.multiply(c, ut, out=ut)
+        np.add(spare, ut, out=ut)
+
+    def step(self, dt):
+        """One step of size dt from the force at u to the force at the new
+        u (first-same-as-last); returns self."""
+        self._kick(dt)
+        self._rotate(dt)
+        self.update_force()
+        self._kick(dt)
+        return self
 
 
 def strang_step(state: WaveState, cfg: NlwConfig, dt=None):
     """Kick-rotate-kick splitting step; dt overrides cfg.dt and may be
-    negative (the splitting is palindromic, so step(-dt) undoes step(dt))."""
-    return _strang(state, _force(state, cfg), cfg,
-                   cfg.dt if dt is None else dt)[0]
+    negative (the splitting is palindromic, so step(-dt) undoes step(dt)).
+    One step of `evolve`: it reads the stored half of a real state and
+    returns its Hermitian completion."""
+    flow = _Strang(state, cfg)
+    flow.step(cfg.dt if dt is None else dt)
+    return flow.copy()
 
 
 def evolve(state: WaveState, cfg: NlwConfig, t_final, record_times=None):
     """Integrate to t_final with steps of cfg.dt (last step shortened to
     land exactly); optionally returns snapshots at the requested times.
-    n steps make n + 1 cubic evaluations."""
-    return _timeloop.run(lambda st, force, dt: _strang(st, force, cfg, dt),
-                         state, cfg.dt, t_final, record_times,
-                         start=lambda st: _force(st, cfg))
+    n steps make n + 1 cubic evaluations.  The flow reads only the stored
+    half (k2 >= 0) of the real state, steps it in place, and returns the
+    Hermitian completion of the final state and of each snapshot; the
+    input arrays are left unchanged."""
+    out = _timeloop.run(_Strang.step, _Strang(state, cfg), cfg.dt, t_final,
+                        record_times)
+    if record_times is None:
+        return out.copy()
+    return out[0].copy(), out[1]
 
 
 def hamiltonian(state: WaveState, cfg: NlwConfig):

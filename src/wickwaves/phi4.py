@@ -225,8 +225,7 @@ class _DofLayout:
         plan = self.plan
         lead = dofs.shape[:-1]
         band = np.zeros(lead + (plan.nk, plan.ncols), dtype=np.complex128)
-        band.reshape(lead + (-1,)).view(np.float64)[
-            ..., self._band_parts] = self._parts(dofs)
+        plan.floats(band)[..., self._band_parts] = self._parts(dofs)
         return plan.complete(band)
 
     def round_trip(self, dofs, work):
@@ -714,6 +713,10 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
         raise ValueError("n_samples must be >= 0")
     if thinning is not None and thinning < 1:
         raise ValueError("thinning must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if batch is not None and batch < 1:
+        raise ValueError("batch must be >= 1")
     grid = spec.grid
     manifest = dict(spec.manifest())
     manifest.update({"sampler": sampler, "n_samples": n_samples,
@@ -752,12 +755,13 @@ def run_chain(spec: MeasureSpec, sampler, n_samples, rng: RngStream,
 
         def step(st, d):
             return mala_step(st, d)
-    probe = []
-    for _ in range(burn):
+    probe = np.empty((burn, batch))
+    for i in range(burn):
         step(state, dt)
-        probe.append(np.sum(np.abs(state.dofs) ** 2, axis=-1))
+        probe[i] = np.sum(np.abs(state.dofs) ** 2, axis=-1)
     if thinning is None:
-        series = np.asarray(probe)[burn // 2:, 0]
+        # a series of fewer than 4 draws (burn-in under 7) gives thinning 1
+        series = probe[burn // 2:, 0]
         thinning = max(1, int(math.ceil(
             2.0 * integrated_autocorr_time(series))))
     per_chain = int(math.ceil(n_samples / batch))

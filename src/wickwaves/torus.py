@@ -39,7 +39,11 @@ spectrum of the current batch and real sample planes for the pointwise
 work of one block of members (BLOCK_BYTES of samples; one plane for a
 real plan, two for a complex one).  It belongs to the plan and the
 thread, is zeroed in place on every call and is never returned; a call
-with another batch shape replaces it.  Per thread and plan it takes
+with another batch shape replaces it.  A round trip that returns float64
+parts (`out_parts`) writes them into a caller's `out=` array when given
+one, so that a caller stepping in place (the NLW flow, on the stored band
+read through `SpectralPlan.band_parts`) allocates no result either.  Per
+thread and plan it takes
 batch * P * (P//2 + 1) * 16 bytes for a real plan or batch * P * P * 16
 for a complex one, plus up to 1 MiB per plane: 10 MB and 20 MB at batch
 64 on the L=4, K=8 grid (P=132).
@@ -354,7 +358,12 @@ class SpectralPlan:
         self.col_slices = ((slice(0, kmax + 1),) if real else
                            (slice(0, kmax + 1), slice(P - kmax, P)))
         self.ball = grid.ball_mask()
-        for arr in (self.rows, self.cols, self.ball):
+        # every float64 part of the stored spectrum, in order: `parts` and
+        # `out_parts` of a round trip from and to a whole stored band
+        self.band_parts = np.arange(2 * self.nk * self.ncols)
+        self._band_padded = self._padded(self.band_parts)
+        for arr in (self.rows, self.cols, self.ball, self.band_parts,
+                    self._band_padded):
             arr.flags.writeable = False
         # .buf, .shape: this thread's work buffer and the (batch shape,
         # members per block) it serves; .busy: in a round trip
@@ -387,10 +396,15 @@ class SpectralPlan:
         return 2 * (self.rows[entry] * self.width + self.cols[col]) \
             + parts % 2
 
+    def _positions(self, parts):
+        """_padded(parts), kept for band_parts."""
+        return self._band_padded if parts is self.band_parts \
+            else self._padded(parts)
+
     @staticmethod
-    def _floats(spec):
-        """A contiguous padded spectrum (..., P, width) as float64 pairs
-        (..., 2 * P * width), a view."""
+    def floats(spec):
+        """A contiguous complex array (..., a, b), such as a padded or a
+        stored spectrum, as float64 pairs (..., 2 * a * b), a view."""
         return spec.reshape(spec.shape[:-2] + (-1,)).view(np.float64)
 
     def _column_pass(self, transform, spec):
@@ -408,7 +422,7 @@ class SpectralPlan:
         if parts is None:
             spec[..., self.rows[:, None], self.cols] = self.stored(values)
         else:
-            self._floats(spec)[..., self._padded(parts)] = values
+            self.floats(spec)[..., self._positions(parts)] = values
 
     def _row_inverse(self, spec):
         """The inverse pass along axis -1, consuming `spec`; a complex
@@ -457,14 +471,18 @@ class SpectralPlan:
         spec = self._row_forward(samples, overwrite=False)
         self._column_pass(sfft.fft, spec)
         if parts is not None:
-            return self._floats(spec)[..., self._padded(parts)]
+            return self.floats(spec)[..., self._positions(parts)]
         return self._centred(self._band(spec), radius)
 
     def round_trip(self, values, work, parts=None, out_parts=None,
-                   radius=None):
+                   radius=None, out=None):
         """(from_grid(w, out_parts, radius), value) for
         (w, value) = work(u, planes) and u = to_grid(values, parts), or
         (None, value) when work returns w = None; equal bit for bit.
+        With `out_parts`, `out` (a C-contiguous float64 array of the
+        result's shape, lead + (len(out_parts),)) receives the result, which
+        is then `out` itself.  `band_parts` as `parts` and `out_parts` reads
+        and writes a whole stored band (..., nk, ncols) as float64 pairs.
 
         The transforms run in this thread's work buffer.  The inverse
         column pass takes the whole batch; the row passes, `work` and the
@@ -496,8 +514,16 @@ class SpectralPlan:
             band = spec.reshape(-1)[:len(members) * self.nk * self.ncols] \
                 .reshape((-1, self.nk, self.ncols))
             if out_parts is not None:
-                out_parts = self._padded(out_parts)
-                result = np.empty((len(members), len(out_parts)))
+                out_parts = self._positions(out_parts)
+                shape = (len(members), len(out_parts))
+                if out is None:
+                    result = np.empty(shape)
+                elif (out.dtype != np.float64 or not out.flags.c_contiguous
+                      or out.shape != lead + shape[1:]):
+                    raise ValueError("out must be a C-contiguous float64 "
+                                     "array of shape %s" % (lead + shape[1:],))
+                else:
+                    result = out.reshape(shape)
             back, value = False, []
             # once at least, so that an empty batch gives empty results
             for lo in range(0, max(len(members), 1), len(planes[0])):
@@ -514,7 +540,7 @@ class SpectralPlan:
                     band[lo:lo + len(block)] = self._band(out)
                 else:
                     result[lo:lo + len(block)] = \
-                        self._floats(out)[..., out_parts]
+                        self.floats(out)[..., out_parts]
             value = None if value[0] is None else \
                 np.concatenate(value).reshape(lead)
             if not back:

@@ -93,6 +93,21 @@ def test_sample_phi4_hmc(capsys, tmp_path):
     assert (tmp_path / "phi4_observables.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["hmc", "mala"])
+@pytest.mark.parametrize("burn_in", [0, 3])
+def test_sample_phi4_short_burn_in_thins_by_one(capsys, tmp_path, kind,
+                                                burn_in):
+    # too short a probe series for an autocorrelation time: thinning 1
+    code, _, _ = run(capsys, "sample-phi4", "--L", "1", "--K", "1",
+                     "--n", "8", "--set", "sampler.kind=" + kind,
+                     "--set", "sampler.burn_in=%d" % burn_in,
+                     "--out", str(tmp_path))
+    assert code == 0
+    m = json.loads((tmp_path / "phi4_manifest.json").read_text())
+    assert m["manifest"]["burn_in"] == burn_in
+    assert m["manifest"]["thinning"] == 1
+
+
 def test_evolve_nlw_single_mode(capsys, tmp_path):
     code, _, _ = run(capsys, "evolve-nlw", "--L", "1", "--K", "2",
                      "--lambda", "0", "--dt", "0.01", "--T", "0.5",
@@ -208,6 +223,9 @@ def test_unconverged_midpoint_kick_exits_3(capsys, tmp_path):
     ("invariance", "flow.kind=bogus"),
     ("sample-phi4", "sampler.kind=bogus"),
     ("sample-phi4", "sampler.thinning=0"),
+    ("sample-phi4", "sampler.burn_in=-1"),
+    ("sample-phi4", "sampler.kind=mala sampler.burn_in=-5"),
+    ("sample-phi4", "sampler.batch=0"),
     # a non-finite T is refused before any numpy call can warn on it
     pytest.param("evolve-nlw", "flow.T=inf", marks=FAIL_ON_WARNING),
     pytest.param("evolve-nls", "flow.T=inf", marks=FAIL_ON_WARNING),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from wickwaves.nlw import (
     wick_cubic_coeffs,
 )
 from wickwaves.torus import TorusGrid, hermitian_symmetrize
+
+# the criterion-6 grid: a round trip there takes a batch of 19 members in
+# blocks of 7 (torus.BLOCK_BYTES)
+CRITERION6_GRID = TorusGrid(4.0, 132, 8.0)
 
 
 @pytest.fixture
@@ -216,3 +221,99 @@ def test_evolve_records_times(wave_grid):
                      (math.nan, None)):
         with pytest.raises(ValueError):
             evolve(st, cfg, T, record_times=times)
+
+
+def random_batch(grid, seed, batch, amp=1.0):
+    """Exactly Hermitian u and ut of `batch` members (None: one member with
+    no batch axis)."""
+    u = amp * sample_gff_coeffs(grid, 1.0, RngStream(seed, 0), size=batch)
+    ut = amp * sample_gff_coeffs(grid, 1.0, RngStream(seed, 1), size=batch)
+    return WaveState(grid, u, ut)
+
+
+def reference_step(state, cfg, dt):
+    # kick-rotate-kick on the full centred arrays, out of place, with the
+    # force computed afresh at both ends
+    grid, half = state.grid, 0.5 * dt * cfg.lam
+    ut = state.ut
+    if cfg.lam != 0.0:
+        ut = ut - half * wick_cubic_coeffs(grid, state.u, cfg.a(grid))
+    mid = linear_propagate(WaveState(grid, state.u, ut), cfg.m, dt)
+    ut = mid.ut
+    if cfg.lam != 0.0:
+        ut = ut - half * wick_cubic_coeffs(grid, mid.u, cfg.a(grid))
+    return WaveState(grid, mid.u, ut)
+
+
+def same(a, b):
+    return np.array_equal(a.u, b.u) and np.array_equal(a.ut, b.ut)
+
+
+@pytest.mark.parametrize("batch", [None, 19])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_evolve_and_strang_step_equal_an_out_of_place_reference(
+        wave_grid, batch, lam):
+    # records at an on-grid (0.05) and an off-grid (0.055) time; the
+    # in-place flow on the stored halves changes no bit of any state
+    dt = 0.01
+    st = random_batch(wave_grid, 12, batch, amp=0.3)
+    cfg = NlwConfig(1.0, lam, dt, wick_a=0.3)
+    sizes = ([dt] * 5 + [0.055 - 5 * dt, 6 * dt - 0.055] + [dt] * 3
+             + [0.095 - 9 * dt])
+    path = [st]
+    for h in sizes:
+        path.append(reference_step(path[-1], cfg, h))
+    final, snaps = evolve(st, cfg, 0.095, record_times=[0.055, 0.05])
+    assert [t for t, _ in snaps] == [0.05, 0.055]
+    assert same(snaps[0][1], path[5]) and same(snaps[1][1], path[6])
+    assert same(final, path[-1])
+    for h in (dt, -dt):
+        assert same(strang_step(final, cfg, dt=h),
+                    reference_step(final, cfg, h))
+
+
+def test_evolve_leaves_its_input_unchanged(wave_grid):
+    # the members are views into a larger batch, as a chunk of one is
+    big = random_batch(wave_grid, 13, 8, amp=0.3)
+    st = WaveState(wave_grid, big.u[2:6], big.ut[2:6])
+    before = big.copy()
+    cfg = NlwConfig(1.0, 1.0, 0.01, wick_a=0.3)
+    evolve(st, cfg, 0.03, record_times=[0.0, 0.015])
+    strang_step(st, cfg)
+    assert same(big, before)
+
+
+def test_member_result_does_not_depend_on_its_batch():
+    st = random_batch(CRITERION6_GRID, 14, 19, amp=0.5)
+    cfg = NlwConfig(1.0, 1.0, 0.01, wick_a=0.5)
+    whole = evolve(st, cfg, 0.02)
+    for i in (0, 7, 18):
+        alone = evolve(WaveState(CRITERION6_GRID, st.u[i], st.ut[i]), cfg,
+                       0.02)
+        pair = evolve(WaveState(CRITERION6_GRID, st.u[i:i + 2],
+                                st.ut[i:i + 2]), cfg, 0.02)
+        assert np.array_equal(alone.u, whole.u[i])
+        assert np.array_equal(alone.ut, whole.ut[i])
+        assert np.array_equal(pair.u[0], whole.u[i])
+        assert np.array_equal(pair.ut[0], whole.ut[i])
+
+
+def test_evolve_allocation_budget():
+    # after a warm-up call, a 3-step evolve allocates less than six states
+    # of its batch: the stored halves of u, ut, the force and one scratch
+    # array (two states together), the completed final state (two), and
+    # the transients of the completion and of one round-trip block.  Full
+    # centred kicks and rotations took eight.
+    batch = 16
+    st = random_batch(CRITERION6_GRID, 15, batch, amp=0.5)
+    cfg = NlwConfig(1.0, 1.0, 0.01, wick_a=0.5)
+    state_bytes = batch * CRITERION6_GRID.nk ** 2 * 16
+    evolve(st, cfg, 0.03)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(st, cfg, 0.03)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * state_bytes
